@@ -1,7 +1,8 @@
-// A small fixed-size worker pool for the sharded query engine.
+// A small fixed-size worker pool: the sharded engine's shard fan-out, the
+// service's request workers, and the policy encoder's per-user passes.
 //
-// Shard fan-out needs exactly one primitive: "run these N closures, wait
-// for all of them". Tasks are plain std::function<void()>; errors propagate
+// Each needs exactly one primitive: "run these N closures, wait for all of
+// them". Tasks are plain std::function<void()>; errors propagate
 // by capture (the library is exception-free, matching the Status idiom).
 // A pool constructed with zero workers runs every task inline on the
 // submitting thread, which keeps single-threaded configurations
@@ -18,7 +19,6 @@
 #include "common/thread_annotations.h"
 
 namespace peb {
-namespace engine {
 
 class ThreadPool {
  public:
@@ -123,5 +123,4 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-}  // namespace engine
 }  // namespace peb

@@ -106,10 +106,10 @@
 
 #include "bxtree/privacy_index.h"
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "engine/engine_wal.h"
 #include "engine/shard_delta.h"
 #include "engine/shard_router.h"
-#include "engine/thread_pool.h"
 #include "peb/peb_tree.h"
 #include "storage/disk_manager.h"
 #include "storage/wal.h"

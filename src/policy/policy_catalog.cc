@@ -124,19 +124,12 @@ Status PolicyCatalog::RevokeRole(UserId owner, UserId peer, RoleId role) {
 }
 
 std::vector<UserId> PolicyCatalog::RelatedTo(UserId u) const {
-  std::unordered_set<UserId> seen;
-  for (UserId peer : store_.PeersOf(u)) seen.insert(peer);
-  for (UserId owner : store_.OwnersToward(u)) seen.insert(owner);
-  seen.erase(u);
-  std::vector<UserId> related;
-  related.reserve(seen.size());
-  for (UserId v : seen) {
-    if (v < options_.num_users &&
-        Compatibility(store_, u, v, options_.compat) > 0.0) {
-      related.push_back(v);
-    }
-  }
-  std::sort(related.begin(), related.end());
+  std::vector<UserId> related(CandidateBound(store_, u));
+  related.resize(
+      CollectCandidates(store_, u, options_.num_users, related.data()));
+  std::erase_if(related, [&](UserId v) {
+    return !(Compatibility(store_, u, v, options_.compat) > 0.0);
+  });
   return related;
 }
 
@@ -197,6 +190,7 @@ Result<ReencodeResult> PolicyCatalog::Reencode() {
     }
     std::sort(groups[i].begin(), groups[i].end());
   }
+  const RelatednessGraph subgraph = RelatednessGraph::FromLists(groups);
   auto compat_local = [&](UserId a, UserId b) {
     return Compatibility(store_, affected[a], affected[b], options_.compat);
   };
@@ -210,9 +204,8 @@ Result<ReencodeResult> PolicyCatalog::Reencode() {
   sub_options.initial_sv = max_sv_ + options_.sv.delta;
   SequenceAssignment sub =
       options_.strategy == SequenceStrategy::kGroupOrder
-          ? AssignSequenceValuesFromGraph(m, groups, compat_local,
-                                          sub_options)
-          : AssignSequenceValuesBfsFromGraph(m, groups, compat_local,
+          ? AssignSequenceValuesFromGraph(subgraph, compat_local, sub_options)
+          : AssignSequenceValuesBfsFromGraph(subgraph, compat_local,
                                              sub_options);
 
   // --- 3. derive the new snapshot copy-on-write -----------------------------
@@ -239,20 +232,10 @@ Result<ReencodeResult> PolicyCatalog::Reencode() {
   }
   rebuild = SortedUniqueBelow(std::move(rebuild), options_.num_users);
   for (UserId v : rebuild) {
-    auto owners = store_.OwnersToward(v);
-    std::vector<FriendEntry> list;
-    list.reserve(owners.size());
-    for (UserId owner : owners) {
-      if (owner == v || owner >= options_.num_users) continue;
-      list.push_back({owner, next->sv_[owner], next->qsv_[owner]});
-    }
-    std::sort(list.begin(), list.end(),
-              [](const FriendEntry& a, const FriendEntry& b) {
-                if (a.qsv != b.qsv) return a.qsv < b.qsv;
-                return a.uid < b.uid;
-              });
-    next->friends_[v] =
-        std::make_shared<const std::vector<FriendEntry>>(std::move(list));
+    auto list = std::make_shared<std::vector<FriendEntry>>(
+        store_.OwnersToward(v).size());
+    next->FillFriendList(store_, v, *list);
+    next->friends_[v] = std::move(list);
   }
 
   // --- 5. publish -----------------------------------------------------------

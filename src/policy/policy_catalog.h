@@ -161,8 +161,9 @@ class PolicyCatalog {
   Result<ReencodeResult> RebuildFull();
 
  private:
-  /// Users adjacent to `u` in the relatedness graph (C > 0), computed
-  /// lazily from the live store. `memo` caches compatibility per pair.
+  /// Users adjacent to `u` in the relatedness graph (C > 0), ascending,
+  /// computed lazily from the live store with the same candidate helper as
+  /// the full build (CollectCandidates).
   std::vector<UserId> RelatedTo(UserId u) const;
 
   Status ValidatePair(UserId owner, UserId peer) const;

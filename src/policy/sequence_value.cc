@@ -1,74 +1,111 @@
 #include "policy/sequence_value.h"
 
 #include <algorithm>
-#include <cmath>
-#include <unordered_set>
+#include <functional>
+#include <iterator>
+#include <thread>
+
+#include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace peb {
 
 namespace {
 
-/// Adjacency of the relatedness graph. Related users are those connected by
-/// a policy in either direction with C > 0; computing C lazily per edge
-/// keeps the cost linear in the number of policies rather than quadratic in
-/// users.
-std::vector<std::vector<UserId>> BuildRelatednessGraph(
-    const PolicyStore& store, size_t num_users,
-    const CompatibilityOptions& compat) {
-  std::vector<std::vector<UserId>> groups(num_users);
-  for (size_t i = 0; i < num_users; ++i) {
-    UserId ui = static_cast<UserId>(i);
-    std::unordered_set<UserId> seen;
-    for (UserId peer : store.PeersOf(ui)) seen.insert(peer);
-    for (UserId owner : store.OwnersToward(ui)) seen.insert(owner);
-    seen.erase(ui);
-    auto& g = groups[i];
-    g.reserve(seen.size());
-    for (UserId uj : seen) {
-      if (uj < num_users && Compatibility(store, ui, uj, compat) > 0.0) {
-        g.push_back(uj);
-      }
-    }
-    std::sort(g.begin(), g.end());
-  }
-  return groups;
-}
+/// Marks a candidate whose pair scored C = 0, for pruning from both users'
+/// rows. Only the top bit changes, so a row stays sorted by masked id.
+constexpr UserId kZeroMark = UserId{1} << 31;
+
+bool HasZeroMark(UserId v) { return (v & kZeroMark) != 0; }
 
 /// Users ordered by |G| descending, ties by id (Figure 5 line 5).
-std::vector<UserId> OrderByDegreeDesc(
-    size_t num_users, const std::vector<std::vector<UserId>>& groups) {
-  std::vector<UserId> order(num_users);
-  for (size_t i = 0; i < num_users; ++i) {
+std::vector<UserId> OrderByDegreeDesc(const RelatednessGraph& graph) {
+  std::vector<UserId> order(graph.num_users());
+  for (size_t i = 0; i < order.size(); ++i) {
     order[i] = static_cast<UserId>(i);
   }
   std::stable_sort(order.begin(), order.end(), [&](UserId a, UserId b) {
-    if (groups[a].size() != groups[b].size()) {
-      return groups[a].size() > groups[b].size();
+    if (graph.degree[a] != graph.degree[b]) {
+      return graph.degree[a] > graph.degree[b];
     }
     return a < b;
   });
   return order;
 }
 
+/// Splits users into contiguous ranges [bounds[i], bounds[i + 1]) of about
+/// equal work (row slots plus one per user), several per thread so that one
+/// heavy range does not hold up a pass.
+std::vector<size_t> UserRanges(const RelatednessGraph& graph,
+                               const ThreadPool& pool) {
+  const std::vector<size_t>& offsets = graph.offsets;
+  const size_t num_ranges = 4 * std::max<size_t>(1, pool.num_threads());
+  const size_t n = offsets.size() - 1;
+  const size_t total = offsets[n] + n;
+  std::vector<size_t> bounds{0};
+  size_t u = 0;
+  for (size_t r = 1; r < num_ranges; ++r) {
+    const size_t target = total * r / num_ranges;
+    while (u < n && offsets[u] + u < target) ++u;
+    if (u > bounds.back() && u < n) bounds.push_back(u);
+  }
+  bounds.push_back(n);
+  return bounds;
+}
+
+/// Runs fn(lo, hi) for every range of `bounds` on `pool` and waits. Each
+/// call must write only the outputs of users lo..hi-1, which makes the
+/// result independent of the thread count.
+void ForEachRange(ThreadPool& pool, const std::vector<size_t>& bounds,
+                  const std::function<void(size_t, size_t)>& fn) {
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(bounds.size() - 1);
+  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
+    tasks.push_back([&fn, lo = bounds[i], hi = bounds[i + 1]] { fn(lo, hi); });
+  }
+  pool.RunAll(std::move(tasks));
+}
+
 }  // namespace
 
-SequenceAssignment AssignSequenceValues(const PolicyStore& store,
-                                        size_t num_users,
-                                        const CompatibilityOptions& compat,
-                                        const SequenceValueOptions& options) {
-  auto groups = BuildRelatednessGraph(store, num_users, compat);
-  return AssignSequenceValuesFromGraph(
-      num_users, groups,
-      [&](UserId a, UserId b) { return Compatibility(store, a, b, compat); },
-      options);
+size_t CandidateBound(const PolicyStore& store, UserId u) {
+  return store.PeersOf(u).size() + store.OwnersToward(u).size();
+}
+
+size_t CollectCandidates(const PolicyStore& store, UserId u, size_t num_users,
+                         UserId* out) {
+  UserId* last = out;
+  for (std::span<const UserId> linked :
+       {store.PeersOf(u), store.OwnersToward(u)}) {
+    for (UserId v : linked) {
+      if (v != u && v < num_users) *last++ = v;
+    }
+  }
+  std::sort(out, last);
+  return static_cast<size_t>(std::unique(out, last) - out);
+}
+
+RelatednessGraph RelatednessGraph::FromLists(
+    const std::vector<std::vector<UserId>>& lists) {
+  RelatednessGraph graph;
+  graph.offsets.reserve(lists.size() + 1);
+  graph.degree.reserve(lists.size());
+  for (const std::vector<UserId>& related : lists) {
+    graph.degree.push_back(static_cast<uint32_t>(related.size()));
+    graph.neighbors.insert(graph.neighbors.end(), related.begin(),
+                           related.end());
+    graph.offsets.push_back(graph.neighbors.size());
+  }
+  return graph;
 }
 
 SequenceAssignment AssignSequenceValuesFromGraph(
-    size_t num_users, const std::vector<std::vector<UserId>>& groups,
-    const CompatFn& compat, const SequenceValueOptions& options) {
+    const RelatednessGraph& graph, const CompatFn& compat,
+    const SequenceValueOptions& options) {
+  const size_t num_users = graph.num_users();
   SequenceAssignment out;
   out.sv.assign(num_users, -1.0);  // -1 = unassigned (⊥ in Figure 5).
-  out.order = OrderByDegreeDesc(num_users, groups);
+  out.order = OrderByDegreeDesc(graph);
 
   // Step 3: assignment (Figure 5 lines 6-12).
   for (size_t k = 0; k < num_users; ++k) {
@@ -82,7 +119,7 @@ SequenceAssignment AssignSequenceValuesFromGraph(
       out.sv[uk] = out.sv[out.order[k - 1]] + options.delta;
     }
     out.num_anchors++;
-    for (UserId uj : groups[uk]) {
+    for (UserId uj : graph.Related(uk)) {
       if (out.sv[uj] < 0.0) {
         out.sv[uj] = out.sv[uk] + (1.0 - compat(uk, uj));
       }
@@ -92,11 +129,11 @@ SequenceAssignment AssignSequenceValuesFromGraph(
 }
 
 SequenceAssignment AssignSequenceValuesBfsFromGraph(
-    size_t num_users, const std::vector<std::vector<UserId>>& groups,
-    const CompatFn& compat, const SequenceValueOptions& options) {
+    const RelatednessGraph& graph, const CompatFn& compat,
+    const SequenceValueOptions& options) {
   SequenceAssignment out;
-  out.sv.assign(num_users, -1.0);
-  out.order = OrderByDegreeDesc(num_users, groups);
+  out.sv.assign(graph.num_users(), -1.0);
+  out.order = OrderByDegreeDesc(graph);
 
   double cursor = options.initial_sv;  // Next component anchor value.
   double max_assigned = -1.0;
@@ -110,7 +147,7 @@ SequenceAssignment AssignSequenceValuesBfsFromGraph(
     queue.push_back(seed);
     for (size_t head = 0; head < queue.size(); ++head) {
       UserId u = queue[head];
-      for (UserId v : groups[u]) {
+      for (UserId v : graph.Related(u)) {
         if (out.sv[v] >= 0.0) continue;
         out.sv[v] = out.sv[u] + (1.0 - compat(u, v));
         max_assigned = std::max(max_assigned, out.sv[v]);
@@ -122,6 +159,103 @@ SequenceAssignment AssignSequenceValuesBfsFromGraph(
   return out;
 }
 
+RelatednessGraph RelatednessGraph::Build(const PolicyStore& store,
+                                         size_t num_users,
+                                         const CompatibilityOptions& compat,
+                                         ThreadPool& pool) {
+  CHECK_LE(num_users, size_t{kZeroMark}) << "user ids must leave the top bit "
+                                            "free for the C = 0 mark";
+  // Every output is allocated here, on the calling thread, with each
+  // user's row sized for its candidates; the workers only fill and sort in
+  // place. (A worker that allocates makes glibc give its thread an arena,
+  // which keeps memory after the build.)
+  RelatednessGraph graph;
+  graph.offsets.resize(num_users + 1);
+  graph.degree.resize(num_users);
+  for (size_t i = 0; i < num_users; ++i) {
+    graph.offsets[i + 1] =
+        graph.offsets[i] + CandidateBound(store, static_cast<UserId>(i));
+  }
+  graph.neighbors.resize(graph.offsets[num_users]);
+  const std::vector<size_t> bounds = UserRanges(graph, pool);
+  auto row = [&graph](size_t i) {
+    return graph.neighbors.data() + graph.offsets[i];
+  };
+
+  // 1. Candidates, each unordered pair scored once at its lower id (C is
+  //    symmetric). A pair with C = 0 is marked in the lower id's row.
+  std::vector<uint8_t> has_zero(num_users, 0);
+  ForEachRange(pool, bounds, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      const UserId u = static_cast<UserId>(i);
+      UserId* first = row(i);
+      UserId* last = first + CollectCandidates(store, u, num_users, first);
+      graph.degree[i] = static_cast<uint32_t>(last - first);
+      for (UserId* v = std::upper_bound(first, last, u); v != last; ++v) {
+        if (!(Compatibility(store, u, *v, compat) > 0.0)) {
+          *v |= kZeroMark;
+          has_zero[i] = 1;
+        }
+      }
+    }
+  });
+
+  // 2. Mirror each mark into the higher id's row. Serial, since it writes
+  //    another user's row; pairs with C = 0 are rare.
+  bool any_zero = false;
+  for (size_t i = 0; i < num_users; ++i) {
+    if (!has_zero[i]) continue;
+    any_zero = true;
+    const UserId u = static_cast<UserId>(i);
+    for (UserId* v = row(i); v != row(i) + graph.degree[i]; ++v) {
+      const UserId w = *v & ~kZeroMark;
+      if (!HasZeroMark(*v) || w < u) continue;
+      UserId* last = row(w) + graph.degree[w];
+      UserId* mirror = std::lower_bound(
+          row(w), last, u,
+          [](UserId a, UserId b) { return (a & ~kZeroMark) < b; });
+      CHECK(mirror != last && (*mirror & ~kZeroMark) == u)
+          << "candidates of " << w << " lack " << u;
+      *mirror |= kZeroMark;
+      has_zero[w] = 1;
+    }
+  }
+
+  // 3. Prune the marked pairs from both rows.
+  if (any_zero) {
+    ForEachRange(pool, bounds, [&](size_t lo, size_t hi) {
+      for (size_t i = lo; i < hi; ++i) {
+        if (!has_zero[i]) continue;
+        UserId* first = row(i);
+        graph.degree[i] = static_cast<uint32_t>(
+            std::remove_if(first, first + graph.degree[i], HasZeroMark) -
+            first);
+      }
+    });
+  }
+
+  return graph;
+}
+
+size_t EncodingSnapshot::BuildThreads() {
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
+}
+
+void EncodingSnapshot::FillFriendList(const PolicyStore& store, UserId u,
+                                      std::vector<FriendEntry>& list) const {
+  size_t kept = 0;
+  for (UserId owner : store.OwnersToward(u)) {
+    if (owner == u || owner >= num_users()) continue;
+    list[kept++] = {owner, sv_[owner], qsv_[owner]};
+  }
+  list.resize(kept);
+  std::sort(list.begin(), list.end(),
+            [](const FriendEntry& a, const FriendEntry& b) {
+              if (a.qsv != b.qsv) return a.qsv < b.qsv;
+              return a.uid < b.uid;
+            });
+}
+
 EncodingSnapshot EncodingSnapshot::Build(const PolicyStore& store,
                                          size_t num_users,
                                          const CompatibilityOptions& compat,
@@ -129,40 +263,44 @@ EncodingSnapshot EncodingSnapshot::Build(const PolicyStore& store,
                                          const SvQuantizer& quantizer,
                                          SequenceStrategy strategy) {
   EncodingSnapshot enc(quantizer);
-  auto graph = BuildRelatednessGraph(store, num_users, compat);
-  auto edge_compat = [&](UserId a, UserId b) {
-    return Compatibility(store, a, b, compat);
-  };
-  enc.assignment_ =
-      strategy == SequenceStrategy::kGroupOrder
-          ? AssignSequenceValuesFromGraph(num_users, graph, edge_compat,
-                                          sv_options)
-          : AssignSequenceValuesBfsFromGraph(num_users, graph, edge_compat,
-                                             sv_options);
+  const size_t threads = BuildThreads();
+  ThreadPool pool(threads > 1 ? threads : 0);
+  std::vector<size_t> bounds;
+  {
+    const RelatednessGraph graph =
+        RelatednessGraph::Build(store, num_users, compat, pool);
+    bounds = UserRanges(graph, pool);
+
+    // Figure-5 (or BFS) assignment, serial.
+    auto edge_compat = [&](UserId a, UserId b) {
+      return Compatibility(store, a, b, compat);
+    };
+    enc.assignment_ =
+        strategy == SequenceStrategy::kGroupOrder
+            ? AssignSequenceValuesFromGraph(graph, edge_compat, sv_options)
+            : AssignSequenceValuesBfsFromGraph(graph, edge_compat,
+                                               sv_options);
+  }  // The graph is freed before the friend lists are allocated.
   enc.sv_ = enc.assignment_.sv;
   enc.qsv_.resize(num_users);
   for (size_t i = 0; i < num_users; ++i) {
     enc.qsv_[i] = quantizer.Quantize(enc.sv_[i]);
   }
 
-  enc.friends_.resize(num_users);
+  // Friend lists, allocated here and filled by the workers (see
+  // RelatednessGraph::Build on why workers do not allocate).
+  std::vector<std::shared_ptr<std::vector<FriendEntry>>> lists(num_users);
   for (size_t i = 0; i < num_users; ++i) {
-    UserId u = static_cast<UserId>(i);
-    auto owners = store.OwnersToward(u);
-    std::vector<FriendEntry> list;
-    list.reserve(owners.size());
-    for (UserId owner : owners) {
-      if (owner == u || owner >= num_users) continue;
-      list.push_back({owner, enc.sv_[owner], enc.qsv_[owner]});
-    }
-    std::sort(list.begin(), list.end(), [](const FriendEntry& a,
-                                           const FriendEntry& b) {
-      if (a.qsv != b.qsv) return a.qsv < b.qsv;
-      return a.uid < b.uid;
-    });
-    enc.friends_[i] =
-        std::make_shared<const std::vector<FriendEntry>>(std::move(list));
+    lists[i] = std::make_shared<std::vector<FriendEntry>>(
+        store.OwnersToward(static_cast<UserId>(i)).size());
   }
+  ForEachRange(pool, bounds, [&](size_t lo, size_t hi) {
+    for (size_t i = lo; i < hi; ++i) {
+      enc.FillFriendList(store, static_cast<UserId>(i), *lists[i]);
+    }
+  });
+  enc.friends_.assign(std::make_move_iterator(lists.begin()),
+                      std::make_move_iterator(lists.end()));
   return enc;
 }
 

@@ -18,8 +18,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "policy/compatibility.h"
 #include "policy/policy_store.h"
@@ -43,22 +45,56 @@ struct SequenceAssignment {
   size_t num_anchors = 0;
 };
 
-/// Runs the Figure-5 algorithm over all users 0..num_users-1.
-SequenceAssignment AssignSequenceValues(const PolicyStore& store,
-                                        size_t num_users,
-                                        const CompatibilityOptions& compat,
-                                        const SequenceValueOptions& options = {});
+/// Upper bound on the relatedness candidates of `u`: its outgoing plus its
+/// incoming policy peers, before deduplication.
+size_t CandidateBound(const PolicyStore& store, UserId u);
+
+/// Writes the relatedness candidates of `u` — every user linked to u by a
+/// policy in either direction, except u itself and ids >= num_users — into
+/// `out` (room for CandidateBound(store, u) ids), ascending and
+/// deduplicated, and returns how many. Both the full build and the
+/// catalog's incremental re-encode derive adjacency from this helper; the
+/// related users are the candidates with C > 0.
+size_t CollectCandidates(const PolicyStore& store, UserId u, size_t num_users,
+                         UserId* out);
+
+/// The relatedness graph (users linked by C > 0) in compressed sparse row
+/// form: the users related to u, ascending, are the first degree[u] ids of
+/// the row neighbors[offsets[u], offsets[u + 1]). A row may end in unused
+/// slots: the full build sizes each row for u's candidates and prunes the
+/// C = 0 ones in place.
+struct RelatednessGraph {
+  std::vector<size_t> offsets{0};
+  std::vector<uint32_t> degree;
+  std::vector<UserId> neighbors;
+
+  size_t num_users() const { return degree.size(); }
+  std::span<const UserId> Related(UserId u) const {
+    return {neighbors.data() + offsets[u], degree[u]};
+  }
+
+  /// Scores every candidate pair once, at its lower id (C is symmetric),
+  /// and keeps the pairs with C > 0. Runs over contiguous user ranges on
+  /// `pool`; the graph is the same for any number of workers.
+  static RelatednessGraph Build(const PolicyStore& store, size_t num_users,
+                                const CompatibilityOptions& compat,
+                                ThreadPool& pool);
+
+  /// Packs per-user lists of related users into a graph, keeping each
+  /// list's order.
+  static RelatednessGraph FromLists(
+      const std::vector<std::vector<UserId>>& lists);
+};
 
 /// Compatibility oracle: C(u1, u2) in [0, 1].
 using CompatFn = std::function<double(UserId, UserId)>;
 
-/// Core of the Figure-5 algorithm over an explicit relatedness graph:
-/// `groups[u]` must list u's related users (C > 0), and `compat` must be
-/// symmetric. Exposed separately so the paper's worked example (Section
-/// 5.1) can be checked against given C values.
+/// Core of the Figure-5 algorithm over an explicit relatedness graph;
+/// `compat` must be symmetric. Exposed separately so the paper's worked
+/// example (Section 5.1) can be checked against given C values.
 SequenceAssignment AssignSequenceValuesFromGraph(
-    size_t num_users, const std::vector<std::vector<UserId>>& groups,
-    const CompatFn& compat, const SequenceValueOptions& options = {});
+    const RelatednessGraph& graph, const CompatFn& compat,
+    const SequenceValueOptions& options = {});
 
 /// How sequence values are derived from the relatedness graph. The paper
 /// lists "new encoding techniques" as future work (Section 8); the BFS
@@ -76,8 +112,8 @@ enum class SequenceStrategy {
 
 /// The BFS-encoding counterpart of AssignSequenceValuesFromGraph.
 SequenceAssignment AssignSequenceValuesBfsFromGraph(
-    size_t num_users, const std::vector<std::vector<UserId>>& groups,
-    const CompatFn& compat, const SequenceValueOptions& options = {});
+    const RelatednessGraph& graph, const CompatFn& compat,
+    const SequenceValueOptions& options = {});
 
 /// Fixed-point quantizer for SV values.
 class SvQuantizer {
@@ -124,13 +160,20 @@ class EncodingSnapshot {
  public:
   /// Runs policy comparison + sequence-value assignment + quantization +
   /// friend-list construction, producing the epoch-0 snapshot. This is the
-  /// offline preprocessing whose cost Figure 11 reports.
+  /// offline preprocessing whose cost Figure 11 reports. Policy comparison
+  /// and friend-list construction run over contiguous user ranges on
+  /// BuildThreads() threads; the Figure-5 (or BFS) assignment is serial.
+  /// The snapshot is bit-identical for any thread count.
   static EncodingSnapshot Build(const PolicyStore& store, size_t num_users,
                                 const CompatibilityOptions& compat,
                                 const SequenceValueOptions& sv_options,
                                 const SvQuantizer& quantizer,
                                 SequenceStrategy strategy =
                                     SequenceStrategy::kGroupOrder);
+
+  /// Threads Build() spreads its per-user passes over: every hardware
+  /// thread.
+  static size_t BuildThreads();
 
   /// Monotonic version of the policy encoding (0 = initial build). An
   /// index's stored keys are always consistent with exactly one epoch.
@@ -155,6 +198,13 @@ class EncodingSnapshot {
   using FriendList = std::shared_ptr<const std::vector<FriendEntry>>;
 
   explicit EncodingSnapshot(SvQuantizer q) : quantizer_(q) {}
+
+  /// Fills `list`, sized by the caller to OwnersToward(u).size(), with u's
+  /// friend entries at this snapshot's SVs, ascending by (qsv, uid), and
+  /// shrinks it to the entries kept. Never reallocates, so the parallel
+  /// build can run it on a worker thread.
+  void FillFriendList(const PolicyStore& store, UserId u,
+                      std::vector<FriendEntry>& list) const;
 
   uint64_t epoch_ = 0;
   SvQuantizer quantizer_;

@@ -51,9 +51,9 @@
 #include "bxtree/privacy_index.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "engine/batch_applier.h"
 #include "engine/sharded_engine.h"
-#include "engine/thread_pool.h"
 #include "motion/update_stream.h"
 #include "peb/continuous.h"
 #include "policy/policy_catalog.h"
@@ -323,7 +323,7 @@ class MovingObjectService {
   std::condition_variable_any dumper_cv_;
   bool stopping_ GUARDED_BY(dumper_mu_) = false;
 
-  engine::ThreadPool workers_;
+  ThreadPool workers_;
 };
 
 }  // namespace service

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <set>
 #include <vector>
 
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 
 namespace peb {
 namespace {
@@ -149,6 +152,30 @@ TEST(Rng, MeanOfUniformIsCentered) {
   const int n = 50000;
   for (int i = 0; i < n; ++i) sum += rng.NextDouble();
   EXPECT_NEAR(sum / n, 0.5, 0.01);
+}
+
+// ---------------------------------------------------------------------------
+// ThreadPool
+// ---------------------------------------------------------------------------
+
+TEST(ThreadPool, RunAllCompletesEveryTask) {
+  ThreadPool pool(4);
+  std::atomic<int> sum{0};
+  std::vector<std::function<void()>> tasks;
+  for (int i = 1; i <= 100; ++i) {
+    tasks.push_back([&sum, i] { sum += i; });
+  }
+  pool.RunAll(std::move(tasks));
+  EXPECT_EQ(sum.load(), 5050);
+}
+
+TEST(ThreadPool, ZeroWorkersRunsInline) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  int calls = 0;
+  pool.Submit([&calls] { calls++; });
+  pool.RunAll({[&calls] { calls++; }, [&calls] { calls++; }});
+  EXPECT_EQ(calls, 3);
 }
 
 }  // namespace

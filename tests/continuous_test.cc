@@ -227,7 +227,8 @@ TEST(BfsEncoding, AssignsEveryoneOneAnchorPerComponent) {
   link(4, 5);
   // User 6 isolated.
   auto out = AssignSequenceValuesBfsFromGraph(
-      7, groups, [](UserId, UserId) { return 0.5; }, {});
+      RelatednessGraph::FromLists(groups),
+      [](UserId, UserId) { return 0.5; }, {});
   for (double sv : out.sv) EXPECT_GE(sv, 2.0);
   EXPECT_EQ(out.num_anchors, 3u);  // Two components + the isolated user.
   // Chain stays tight: consecutive chain members differ by (1 - 0.5).
@@ -247,8 +248,9 @@ TEST(BfsEncoding, KeepsTransitiveChainsCloserThanGroupOrder) {
     groups[i + 1].push_back(i);
   }
   auto compat = [](UserId, UserId) { return 0.9; };
-  auto fig5 = AssignSequenceValuesFromGraph(n, groups, compat, {});
-  auto bfs = AssignSequenceValuesBfsFromGraph(n, groups, compat, {});
+  const RelatednessGraph graph = RelatednessGraph::FromLists(groups);
+  auto fig5 = AssignSequenceValuesFromGraph(graph, compat, {});
+  auto bfs = AssignSequenceValuesBfsFromGraph(graph, compat, {});
 
   auto span = [&](const SequenceAssignment& a) {
     double lo = 1e18, hi = -1e18;

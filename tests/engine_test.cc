@@ -5,14 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "engine/batch_applier.h"
 #include "engine/shard_router.h"
 #include "engine/sharded_engine.h"
-#include "engine/thread_pool.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
 
@@ -23,37 +21,12 @@ using engine::BatchApplierOptions;
 using engine::BatchUpdateApplier;
 using engine::RouterPolicy;
 using engine::ShardedPebEngine;
-using engine::ThreadPool;
 using eval::MakeEngine;
 using eval::MakePknnQueries;
 using eval::MakePrqQueries;
 using eval::QuerySetOptions;
 using eval::Workload;
 using eval::WorkloadParams;
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, RunAllCompletesEveryTask) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 1; i <= 100; ++i) {
-    tasks.push_back([&sum, i] { sum += i; });
-  }
-  pool.RunAll(std::move(tasks));
-  EXPECT_EQ(sum.load(), 5050);
-}
-
-TEST(ThreadPool, ZeroWorkersRunsInline) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 0u);
-  int calls = 0;
-  pool.Submit([&calls] { calls++; });
-  pool.RunAll({[&calls] { calls++; }, [&calls] { calls++; }});
-  EXPECT_EQ(calls, 3);
-}
 
 // ---------------------------------------------------------------------------
 // Routers

@@ -172,8 +172,11 @@ TEST(PolicyCatalog, IncrementalMatchesSubgraphRebuild) {
 
   // Reference: Figure-5 over the mutated graph {0-1, 1-2} in isolation.
   const PolicyStore& mutated = catalog.store();
-  CompatibilityOptions compat = SmallCatalogOptions(3).compat;
-  SequenceAssignment ref = AssignSequenceValues(mutated, 3, compat);
+  const CatalogOptions opt = SmallCatalogOptions(3);
+  SequenceAssignment ref =
+      EncodingSnapshot::Build(mutated, 3, opt.compat, opt.sv,
+                              SvQuantizer(opt.sv_scale, opt.sv_bits))
+          .assignment();
 
   // Translation invariance: pairwise SV offsets match the reference.
   for (UserId a = 0; a < 3; ++a) {

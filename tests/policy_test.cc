@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
+#include "common/rng.h"
+#include "common/thread_pool.h"
 #include "policy/compatibility.h"
 #include "policy/lpp.h"
 #include "policy/policy_generator.h"
@@ -296,7 +301,8 @@ TEST(SequenceValues, PaperWorkedExample) {
   SequenceValueOptions opt;
   opt.initial_sv = 2.0;
   opt.delta = 2.0;
-  auto out = AssignSequenceValuesFromGraph(6, groups, C, opt);
+  auto out = AssignSequenceValuesFromGraph(RelatednessGraph::FromLists(groups),
+                                           C, opt);
 
   // Sorted by |G| desc: u3 (3 related), u1 (2), u4 (2), u2, u5, u6.
   EXPECT_EQ(out.order[0], 2u);  // u3 first.
@@ -320,7 +326,8 @@ TEST(SequenceValues, AllUsersGetValues) {
     groups[i].push_back(0);
   }
   auto out = AssignSequenceValuesFromGraph(
-      n, groups, [](UserId, UserId) { return 0.5; }, {});
+      RelatednessGraph::FromLists(groups), [](UserId, UserId) { return 0.5; },
+      {});
   for (size_t i = 0; i < n; ++i) {
     EXPECT_GE(out.sv[i], 2.0) << i;
   }
@@ -338,7 +345,8 @@ TEST(SequenceValues, IsolatedUsersBecomeAnchorsSeparatedByDelta) {
   opt.initial_sv = 2.0;
   opt.delta = 2.0;
   auto out = AssignSequenceValuesFromGraph(
-      n, groups, [](UserId, UserId) { return 0.0; }, opt);
+      RelatednessGraph::FromLists(groups), [](UserId, UserId) { return 0.0; },
+      opt);
   EXPECT_EQ(out.num_anchors, n);
   for (size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(out.sv[out.order[i]], 2.0 + 2.0 * i, 1e-12);
@@ -356,7 +364,8 @@ TEST(SequenceValues, HigherCompatibilityGivesCloserValues) {
     if (lo == 0 && hi == 2) return 0.1;
     return 0.0;
   };
-  auto out = AssignSequenceValuesFromGraph(3, groups, C, {});
+  auto out =
+      AssignSequenceValuesFromGraph(RelatednessGraph::FromLists(groups), C, {});
   EXPECT_LT(std::abs(out.sv[1] - out.sv[0]),
             std::abs(out.sv[2] - out.sv[0]));
 }
@@ -410,6 +419,152 @@ TEST(PolicyEncoding, FriendListsSortedAndComplete) {
       }
       EXPECT_EQ(friends[i].qsv, enc.quantized_sv(friends[i].uid));
       EXPECT_FALSE(gen.store.Get(friends[i].uid, u).empty());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Full build vs a brute-force reference
+// ---------------------------------------------------------------------------
+
+// Generated users, and the encoded prefix of them: the policies toward the
+// last few point outside the encoded population.
+constexpr size_t kGeneratedUsers = 2000;
+constexpr size_t kEncodedUsers = 1990;
+
+// A Table-1-style policy world plus injected pairs with C = 0, so that the
+// candidate lists hold pairs the relatedness graph must drop.
+struct ZeroPairWorld {
+  PolicyStore store;
+  size_t zero_pairs = 0;  ///< Injected C = 0 pairs among encoded users.
+};
+
+ZeroPairWorld MakeZeroPairWorld() {
+  PolicyGeneratorOptions opt;
+  opt.num_users = kGeneratedUsers;
+  opt.policies_per_user = 12;
+  opt.grouping_factor = 0.5;
+  opt.seed = 91;
+  ZeroPairWorld world;
+  world.store = GeneratePolicies(opt).store;
+
+  // A policy whose region lies outside the space domain has weight 0, so a
+  // pair linked only by such policies (one-way, or both ways with disjoint
+  // regions) has C = 0.
+  Lpp outside;
+  outside.role = 1;
+  outside.locr = {{2000.0, 2000.0}, {2100.0, 2100.0}};
+  outside.tint = {0.0, 1440.0};
+  Lpp outside_elsewhere = outside;
+  outside_elsewhere.locr = {{3000.0, 3000.0}, {3100.0, 3100.0}};
+  Rng rng(5);
+  while (world.zero_pairs < 300) {
+    UserId a = static_cast<UserId>(rng.NextBelow(kGeneratedUsers));
+    UserId b = static_cast<UserId>(rng.NextBelow(kGeneratedUsers));
+    if (a == b || !world.store.Get(a, b).empty() ||
+        !world.store.Get(b, a).empty()) {
+      continue;
+    }
+    world.store.Add(a, b, outside);
+    if (rng.NextBool(0.3)) world.store.Add(b, a, outside_elsewhere);
+    if (a < kEncodedUsers && b < kEncodedUsers) world.zero_pairs++;
+  }
+  return world;
+}
+
+// The relatedness groups scored the straightforward way: every candidate
+// pair from both of its ends.
+std::vector<std::vector<UserId>> ReferenceGroups(
+    const PolicyStore& store, size_t n, const CompatibilityOptions& compat) {
+  std::vector<std::vector<UserId>> groups(n);
+  for (UserId u = 0; u < n; ++u) {
+    std::set<UserId> candidates;
+    for (UserId v : store.PeersOf(u)) candidates.insert(v);
+    for (UserId v : store.OwnersToward(u)) candidates.insert(v);
+    for (UserId v : candidates) {
+      if (v != u && v < n && Compatibility(store, u, v, compat) > 0.0) {
+        groups[u].push_back(v);
+      }
+    }
+  }
+  return groups;
+}
+
+TEST(RelatednessGraph, BuildMatchesReferenceForAnyPoolSize) {
+  ZeroPairWorld world = MakeZeroPairWorld();
+  CompatibilityOptions compat;
+  auto ref = ReferenceGroups(world.store, kEncodedUsers, compat);
+
+  // The injected pairs are candidates with C = 0 that must be dropped.
+  size_t candidates = 0;
+  size_t related = 0;
+  for (UserId u = 0; u < kEncodedUsers; ++u) {
+    std::vector<UserId> buf(CandidateBound(world.store, u));
+    candidates += CollectCandidates(world.store, u, kEncodedUsers, buf.data());
+    related += ref[u].size();
+  }
+  EXPECT_GE(candidates - related, 2 * world.zero_pairs);
+
+  // 0 workers runs the (several) user ranges inline.
+  for (size_t workers : {0, 1, 3, 7}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    RelatednessGraph graph =
+        RelatednessGraph::Build(world.store, kEncodedUsers, compat, pool);
+    ASSERT_EQ(graph.num_users(), kEncodedUsers);
+    for (UserId u = 0; u < kEncodedUsers; ++u) {
+      auto row = graph.Related(u);
+      ASSERT_EQ(std::vector<UserId>(row.begin(), row.end()), ref[u])
+          << "user " << u;
+    }
+  }
+}
+
+TEST(PolicyEncoding, BuildMatchesReferenceEncoding) {
+  ZeroPairWorld world = MakeZeroPairWorld();
+  CompatibilityOptions compat;
+  SvQuantizer quant(64.0, 26);
+  const RelatednessGraph ref_graph = RelatednessGraph::FromLists(
+      ReferenceGroups(world.store, kEncodedUsers, compat));
+  auto C = [&](UserId a, UserId b) {
+    return Compatibility(world.store, a, b, compat);
+  };
+
+  for (SequenceStrategy strategy :
+       {SequenceStrategy::kGroupOrder, SequenceStrategy::kBfsTraversal}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    EncodingSnapshot enc = EncodingSnapshot::Build(
+        world.store, kEncodedUsers, compat, {}, quant, strategy);
+    SequenceAssignment ref =
+        strategy == SequenceStrategy::kGroupOrder
+            ? AssignSequenceValuesFromGraph(ref_graph, C)
+            : AssignSequenceValuesBfsFromGraph(ref_graph, C);
+    EXPECT_EQ(enc.assignment().sv, ref.sv);
+    EXPECT_EQ(enc.assignment().order, ref.order);
+    EXPECT_EQ(enc.assignment().num_anchors, ref.num_anchors);
+
+    ASSERT_EQ(enc.num_users(), kEncodedUsers);
+    for (UserId u = 0; u < kEncodedUsers; ++u) {
+      EXPECT_EQ(enc.sv(u), ref.sv[u]);
+      EXPECT_EQ(enc.quantized_sv(u), quant.Quantize(ref.sv[u]));
+      std::vector<FriendEntry> expected;
+      for (UserId owner : world.store.OwnersToward(u)) {
+        if (owner == u || owner >= kEncodedUsers) continue;
+        expected.push_back(
+            {owner, ref.sv[owner], quant.Quantize(ref.sv[owner])});
+      }
+      std::sort(expected.begin(), expected.end(),
+                [](const FriendEntry& a, const FriendEntry& b) {
+                  if (a.qsv != b.qsv) return a.qsv < b.qsv;
+                  return a.uid < b.uid;
+                });
+      const auto& friends = enc.FriendsOf(u);
+      ASSERT_EQ(friends.size(), expected.size()) << "user " << u;
+      for (size_t i = 0; i < friends.size(); ++i) {
+        EXPECT_EQ(friends[i].uid, expected[i].uid) << "user " << u;
+        EXPECT_EQ(friends[i].sv, expected[i].sv) << "user " << u;
+        EXPECT_EQ(friends[i].qsv, expected[i].qsv) << "user " << u;
+      }
     }
   }
 }
