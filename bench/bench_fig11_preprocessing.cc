@@ -2,7 +2,7 @@
 // (a) varies the number of users 10K..100K at 50 policies/user;
 // (b) varies the policies per user 10..100 at 60K users.
 // The metric is the wall-clock time of the one-time offline policy
-// comparison + sequence-value generation (PolicyEncoding::Build). The build
+// comparison + sequence-value generation (EncodingSnapshot::Build). The build
 // spreads its per-user passes over every hardware thread, unlike the
 // paper's single-threaded numbers, so the thread count is printed first.
 #include "bench_common.h"
@@ -26,8 +26,8 @@ double EncodeSeconds(size_t users, size_t policies) {
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
   auto t0 = std::chrono::steady_clock::now();
-  PolicyEncoding enc =
-      PolicyEncoding::Build(gen.store, users, compat, {}, quant);
+  EncodingSnapshot enc =
+      EncodingSnapshot::Build(gen.store, users, compat, {}, quant);
   auto t1 = std::chrono::steady_clock::now();
   // Keep the encoding alive through the timing read.
   if (enc.num_users() != users) std::abort();

@@ -2,17 +2,16 @@
 // blocks — space-filling curves, PEB key generation, B+-tree operations,
 // buffer pool hits, policy compatibility, and end-to-end index updates.
 //
-// After the google-benchmark suite, two A/B cells always run:
-//  * "range-scan cell": the same window-query batch against a Bx-tree with
-//    the legacy per-interval root-descent scan (the pre-leaf-cursor
-//    behavior: fast path off, no interval coalescing) and with the
-//    LeafCursor fast path + default coalescing.
-//  * "pknn cell": the same PkNN batch against a PEB-tree with the legacy
-//    Figure-9 round path (fixed Dk/k step, cumulative single-span rings)
-//    and with the incremental path (cost-model-seeded radius, exact
-//    annulus deltas, qsv-run coalescing). Results must be bit-identical —
-//    the cell doubles as the equivalence oracle — and CI fails when the
-//    incremental speedup drops below 1.0.
+// After the google-benchmark suite, these cells always run:
+//  * "range-scan cell": a window-query batch against a Bx-tree under the
+//    paper's 50-page buffer, reporting the LeafCursor scan's I/O, probe,
+//    descent and hop counts.
+//  * "pknn cell": the same PkNN batch against the PEB-tree and against the
+//    paper's baseline, the Bx-tree with policy filtering (Section 4), each
+//    on its own 50-page pool. Answers must be bit-identical (the binary
+//    aborts otherwise); CI fails when the PEB-tree stops beating the
+//    baseline's wall-clock or its fetch, descent or round counts exceed
+//    their ceilings.
 //  * "update interference cell": closed-loop PRQ latency while a paced
 //    update stream lands concurrently, direct apply vs log-structured
 //    delta ingest. Settled answers must be bit-identical, and CI fails
@@ -37,6 +36,7 @@
 
 #include "bench_common.h"
 #include "btree/btree.h"
+#include "bxtree/filtering_index.h"
 #include "engine/sharded_engine.h"
 #include "peb/peb_tree.h"
 #include "btree/btree_traits.h"
@@ -201,7 +201,7 @@ BENCHMARK(BM_BxTreeUpdate);
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// A/B range-scan cell: legacy per-interval descents vs LeafCursor fast path
+// Range-scan cell: the Bx-tree's LeafCursor window scan
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -215,8 +215,7 @@ struct ScanCellResult {
   uint64_t candidates = 0;
 };
 
-ScanCellResult RunRangeScanCell(bool fast_path, uint64_t coalesce_gap,
-                                size_t num_objects, size_t num_queries) {
+ScanCellResult RunRangeScanCell(size_t num_objects, size_t num_queries) {
   UniformGeneratorOptions gen;
   gen.num_objects = num_objects;
   gen.stagger_window = 120.0;
@@ -225,10 +224,7 @@ ScanCellResult RunRangeScanCell(bool fast_path, uint64_t coalesce_gap,
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{50});  // Paper's buffer budget.
-  MovingIndexOptions opt;
-  opt.leaf_cursor_fast_path = fast_path;
-  opt.zrange.coalesce_gap = coalesce_gap;
-  BxTree tree(&pool, opt);
+  BxTree tree(&pool, MovingIndexOptions{});
   for (const auto& o : ds.objects) (void)tree.Insert(o);
 
   ScanCellResult r;
@@ -253,8 +249,25 @@ ScanCellResult RunRangeScanCell(bool fast_path, uint64_t coalesce_gap,
   return r;
 }
 
-eval::Json ToJson(const ScanCellResult& r) {
+}  // namespace
+
+eval::Json RunAndReportScanCell() {
+  size_t num_objects = eval::Scaled(60000, 5000);
+  size_t num_queries = eval::Scaled(200, 20);
+  ScanCellResult r = RunRangeScanCell(num_objects, num_queries);
+
+  std::cout << "\n--- range-scan cell (Bx window batch, " << num_objects
+            << " objects, " << num_queries << " queries) ---\n"
+            << r.io.logical_fetches << " fetches, " << r.io.physical_reads
+            << " reads, " << r.probes << " probes (" << r.descents
+            << " descents + " << r.leaf_hops << " hops), "
+            << eval::Fmt(r.wall_ms) << " ms\n";
+
   return eval::Json::Object()
+      .Set("num_objects", static_cast<uint64_t>(num_objects))
+      .Set("num_queries", static_cast<uint64_t>(num_queries))
+      .Set("window_side", 200.0)
+      .Set("buffer_pages", 50)
       .Set("io", eval::ToJson(r.io))
       .Set("wall_ms", r.wall_ms)
       .Set("range_probes", r.probes)
@@ -263,53 +276,8 @@ eval::Json ToJson(const ScanCellResult& r) {
       .Set("candidates_examined", r.candidates);
 }
 
-}  // namespace
-
-eval::Json RunAndReportScanCell() {
-  size_t num_objects = eval::Scaled(60000, 5000);
-  size_t num_queries = eval::Scaled(200, 20);
-  // "legacy" is the pre-PR baseline: one root descent per Z interval, no
-  // interval coalescing. "fastpath" is the current default configuration.
-  ScanCellResult legacy = RunRangeScanCell(false, 0, num_objects,
-                                           num_queries);
-  ScanCellResult fast = RunRangeScanCell(true, 3, num_objects, num_queries);
-
-  auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  double fetch_ratio =
-      ratio(static_cast<double>(legacy.io.logical_fetches),
-            static_cast<double>(fast.io.logical_fetches));
-  double read_ratio = ratio(static_cast<double>(legacy.io.physical_reads),
-                            static_cast<double>(fast.io.physical_reads));
-  double speedup = ratio(legacy.wall_ms, fast.wall_ms);
-
-  std::cout << "\n--- range-scan cell (Bx window batch, " << num_objects
-            << " objects, " << num_queries << " queries) ---\n"
-            << "legacy   : " << legacy.io.logical_fetches << " fetches, "
-            << legacy.io.physical_reads << " reads, " << legacy.probes
-            << " probes, " << eval::Fmt(legacy.wall_ms) << " ms\n"
-            << "fastpath : " << fast.io.logical_fetches << " fetches, "
-            << fast.io.physical_reads << " reads, " << fast.probes
-            << " probes (" << fast.descents << " descents + "
-            << fast.leaf_hops << " hops), " << eval::Fmt(fast.wall_ms)
-            << " ms\n"
-            << "fetch ratio " << eval::Fmt(fetch_ratio) << "x, read ratio "
-            << eval::Fmt(read_ratio) << "x, speedup "
-            << eval::Fmt(speedup) << "x\n";
-
-  return eval::Json::Object()
-      .Set("num_objects", static_cast<uint64_t>(num_objects))
-      .Set("num_queries", static_cast<uint64_t>(num_queries))
-      .Set("window_side", 200.0)
-      .Set("buffer_pages", 50)
-      .Set("legacy", ToJson(legacy))
-      .Set("fastpath", ToJson(fast))
-      .Set("fetch_ratio", fetch_ratio)
-      .Set("read_ratio", read_ratio)
-      .Set("speedup", speedup);
-}
-
 // ---------------------------------------------------------------------------
-// A/B pknn cell: legacy Figure-9 rounds vs the incremental path
+// PkNN cell: PEB-tree vs the Bx-tree + policy-filtering baseline
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -325,25 +293,20 @@ struct PknnCellResult {
   std::vector<std::vector<Neighbor>> answers;
 };
 
-/// Runs the PkNN batch against a fresh PEB-tree (own 50-page pool) indexing
-/// the workload's dataset, with the incremental path on or off.
+/// Loads the workload's dataset into `index` (which sits on its own
+/// 50-page pool) and runs the PkNN batch against it.
 PknnCellResult RunPknnCell(const eval::Workload& w,
                            const std::vector<eval::PknnQuery>& queries,
-                           bool incremental) {
-  InMemoryDiskManager disk;
-  BufferPool pool(&disk, BufferPoolOptions{50});  // Paper's buffer budget.
-  PebTreeOptions opt = eval::PebOptionsFor(w.params());
-  opt.index.incremental_knn = incremental;
-  PebTree tree(&pool, opt, &w.store(), &w.roles(), &w.encoding());
-  for (const auto& o : w.dataset().objects) (void)tree.Insert(o);
+                           PrivacyAwareIndex& index) {
+  for (const auto& o : w.dataset().objects) (void)index.Insert(o);
 
   PknnCellResult r;
   r.answers.reserve(queries.size());
-  pool.ResetStats();
+  index.ResetIo();
   auto t0 = std::chrono::steady_clock::now();
   for (const auto& q : queries) {
     QueryStats stats;
-    auto res = tree.KnnQueryWithStats(q.issuer, q.qloc, q.k, q.tq, &stats);
+    auto res = index.KnnQueryWithStats(q.issuer, q.qloc, q.k, q.tq, &stats);
     if (!res.ok()) {
       std::cerr << "pknn cell query failed: " << res.status().ToString()
                 << "\n";
@@ -358,7 +321,7 @@ PknnCellResult RunPknnCell(const eval::Workload& w,
   }
   auto t1 = std::chrono::steady_clock::now();
   r.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-  r.io = pool.stats();
+  r.io = index.aggregate_io();
   return r;
 }
 
@@ -384,13 +347,22 @@ eval::Json RunAndReportPknnCell() {
   q.count = num_queries;
   auto queries = eval::MakePknnQueries(w, q);
 
-  PknnCellResult legacy = RunPknnCell(w, queries, /*incremental=*/false);
-  PknnCellResult inc = RunPknnCell(w, queries, /*incremental=*/true);
+  InMemoryDiskManager peb_disk;
+  BufferPool peb_pool(&peb_disk, BufferPoolOptions{50});  // Paper's budget.
+  PebTree peb_tree(&peb_pool, eval::PebOptionsFor(p), &w.store(), &w.roles(),
+                   w.catalog()->snapshot());
+  PknnCellResult peb = RunPknnCell(w, queries, peb_tree);
 
-  // The legacy round path is the equivalence oracle: the incremental path
-  // must produce bit-identical answers (same uids, same distances). Sort
-  // by (distance, uid) first — distances are continuous, so this only
-  // normalizes the order of exact ties, which the merges may permute.
+  InMemoryDiskManager base_disk;
+  BufferPool base_pool(&base_disk, BufferPoolOptions{50});
+  FilteringIndex baseline(&base_pool, eval::IndexOptionsFor(p), &w.store(),
+                          &w.roles(), p.time_domain);
+  PknnCellResult base = RunPknnCell(w, queries, baseline);
+
+  // Both indexes must produce bit-identical answers (same uids, same
+  // distances). Sort by (distance, uid) first — distances are continuous,
+  // so this only normalizes the order of exact ties, which the merges may
+  // permute.
   auto normalized = [](std::vector<Neighbor> v) {
     std::sort(v.begin(), v.end(), [](const Neighbor& a, const Neighbor& b) {
       if (a.distance != b.distance) return a.distance < b.distance;
@@ -399,8 +371,8 @@ eval::Json RunAndReportPknnCell() {
     return v;
   };
   for (size_t i = 0; i < queries.size(); ++i) {
-    std::vector<Neighbor> want = normalized(legacy.answers[i]);
-    std::vector<Neighbor> got = normalized(inc.answers[i]);
+    std::vector<Neighbor> want = normalized(base.answers[i]);
+    std::vector<Neighbor> got = normalized(peb.answers[i]);
     if (want.size() != got.size()) {
       std::cerr << "pknn cell mismatch at query " << i << ": "
                 << want.size() << " vs " << got.size() << " results\n";
@@ -417,28 +389,24 @@ eval::Json RunAndReportPknnCell() {
   }
 
   auto ratio = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  double fetch_ratio =
-      ratio(static_cast<double>(legacy.io.logical_fetches),
-            static_cast<double>(inc.io.logical_fetches));
-  double descent_ratio = ratio(static_cast<double>(legacy.descents),
-                               static_cast<double>(inc.descents));
-  double speedup = ratio(legacy.wall_ms, inc.wall_ms);
+  double fetch_ratio = ratio(static_cast<double>(base.io.logical_fetches),
+                             static_cast<double>(peb.io.logical_fetches));
+  double speedup = ratio(base.wall_ms, peb.wall_ms);
   double nq = static_cast<double>(queries.size());
 
-  std::cout << "\n--- pknn cell (PEB PkNN batch, " << p.num_users
-            << " users, " << num_queries << " queries) ---\n"
-            << "legacy      : " << legacy.io.logical_fetches << " fetches, "
-            << legacy.io.physical_reads << " reads, " << legacy.probes
-            << " probes, " << legacy.descents << " descents, "
-            << eval::Fmt(static_cast<double>(legacy.rounds) / nq)
-            << " rounds/query, " << eval::Fmt(legacy.wall_ms) << " ms\n"
-            << "incremental : " << inc.io.logical_fetches << " fetches, "
-            << inc.io.physical_reads << " reads, " << inc.probes
-            << " probes, " << inc.descents << " descents, "
-            << eval::Fmt(static_cast<double>(inc.rounds) / nq)
-            << " rounds/query, " << eval::Fmt(inc.wall_ms) << " ms\n"
+  std::cout << "\n--- pknn cell (PkNN batch, " << p.num_users << " users, "
+            << num_queries << " queries) ---\n"
+            << "bx+filter : " << base.io.logical_fetches << " fetches, "
+            << base.io.physical_reads << " reads, " << base.probes
+            << " probes, " << base.descents << " descents, "
+            << eval::Fmt(static_cast<double>(base.rounds) / nq)
+            << " rounds/query, " << eval::Fmt(base.wall_ms) << " ms\n"
+            << "peb-tree  : " << peb.io.logical_fetches << " fetches, "
+            << peb.io.physical_reads << " reads, " << peb.probes
+            << " probes, " << peb.descents << " descents, "
+            << eval::Fmt(static_cast<double>(peb.rounds) / nq)
+            << " rounds/query, " << eval::Fmt(peb.wall_ms) << " ms\n"
             << "results bit-identical; fetch ratio " << eval::Fmt(fetch_ratio)
-            << "x, descent ratio " << eval::Fmt(descent_ratio)
             << "x, speedup " << eval::Fmt(speedup) << "x\n";
 
   return eval::Json::Object()
@@ -446,10 +414,9 @@ eval::Json RunAndReportPknnCell() {
       .Set("num_queries", static_cast<uint64_t>(num_queries))
       .Set("k", static_cast<uint64_t>(q.k))
       .Set("buffer_pages", 50)
-      .Set("legacy", ToJson(legacy))
-      .Set("incremental", ToJson(inc))
+      .Set("baseline", ToJson(base))
+      .Set("peb", ToJson(peb))
       .Set("fetch_ratio", fetch_ratio)
-      .Set("descent_ratio", descent_ratio)
       .Set("speedup", speedup);
 }
 
@@ -510,9 +477,9 @@ eval::Json RunAndReportTelemetryOverheadCell() {
   svc_off_opts.time_domain = p.time_domain;
   svc_off_opts.telemetry = telemetry::TelemetryOptions::Disabled();
   service::MovingObjectService svc_on(engine_on.get(), &w.store(), &w.roles(),
-                                      &w.encoding(), svc_on_opts);
+                                      w.catalog()->snapshot(), svc_on_opts);
   service::MovingObjectService svc_off(engine_off.get(), &w.store(),
-                                       &w.roles(), &w.encoding(),
+                                       &w.roles(), w.catalog()->snapshot(),
                                        svc_off_opts);
 
   constexpr int kReps = 5;

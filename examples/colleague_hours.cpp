@@ -77,17 +77,17 @@ int main() {
 
   CompatibilityOptions compat;
   SvQuantizer quantizer(64.0, 26);
-  PolicyEncoding encoding = PolicyEncoding::Build(store, 6, compat, {},
-                                                  quantizer);
+  auto encoding = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(store, 6, compat, {}, quantizer));
   std::printf("sequence values (colleagues+family cluster around Bob):\n");
   for (UserId u = 0; u < 6; ++u) {
-    std::printf("  %-6s sv=%.3f\n", kNames[u], encoding.sv(u));
+    std::printf("  %-6s sv=%.3f\n", kNames[u], encoding->sv(u));
   }
 
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{50});
   PebTreeOptions options;
-  PebTree tree(&pool, options, &store, &roles, &encoding);
+  PebTree tree(&pool, options, &store, &roles, encoding);
 
   // Everyone hangs around the office block (in town) and stands still; the
   // query answer changes purely because of the time of day.
@@ -107,7 +107,7 @@ int main() {
 
   // Queries go through the request/response service facade (the tree is
   // the backing index; policies/roles/encoding enable standing queries).
-  MovingObjectService office(&tree, &store, &roles, &encoding);
+  MovingObjectService office(&tree, &store, &roles, encoding);
 
   Rect office_block = Rect::CenteredSquare({500, 500}, 100.0);
   // Note: query times must stay within one max update interval of the

@@ -38,7 +38,7 @@ int main() {
   // service update session (a deterministic clone of the workload stream).
   auto engine = MakeEngine(world, /*num_shards=*/4, /*num_threads=*/4);
   MovingObjectService svc(engine.get(), &world.store(), &world.roles(),
-                          &world.encoding());
+                          world.catalog()->snapshot());
   auto stream = CloneUniformUpdateStream(world);
   if (stream == nullptr) return 1;
   auto session = svc.OpenUpdateSession(stream.get(), /*batch_size=*/256);

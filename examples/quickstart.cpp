@@ -52,19 +52,19 @@ int main() {
   // --- 2. Policy encoding (the offline step of Section 5.1) -----------------
   CompatibilityOptions compat;  // Space 1000x1000, day of 1440 minutes.
   SvQuantizer quantizer(/*scale=*/64.0, /*bits=*/26);
-  PolicyEncoding encoding =
-      PolicyEncoding::Build(store, /*num_users=*/3, compat, {}, quantizer);
+  auto encoding = std::make_shared<const EncodingSnapshot>(
+      EncodingSnapshot::Build(store, /*num_users=*/3, compat, {}, quantizer));
   for (UserId u = 0; u < 3; ++u) {
     std::printf("user %u: sequence value %.2f (%u friends may query them)\n",
-                u, encoding.sv(u),
-                static_cast<unsigned>(encoding.FriendsOf(u).size()));
+                u, encoding->sv(u),
+                static_cast<unsigned>(encoding->FriendsOf(u).size()));
   }
 
   // --- 3. Index ---------------------------------------------------------------
   InMemoryDiskManager disk;
   BufferPool pool(&disk, BufferPoolOptions{.capacity = 50});
   PebTreeOptions options;  // 1000x1000 space, Z-grid 2^10, Δtmu=120, n=2.
-  PebTree tree(&pool, options, &store, &roles, &encoding);
+  PebTree tree(&pool, options, &store, &roles, encoding);
 
   // Insert everyone at t=0. Positions follow x(t) = x + v(t - tu).
   Status s;
@@ -79,7 +79,7 @@ int main() {
   // Alice asks at 9:00 (t=540... but within delta_t_mu of the updates; use
   // t=60 which maps to 01:00 — Carol's window starts at 08:00, so make the
   // query at a time inside her window by re-updating her first).
-  MovingObjectService svc(&tree, &store, &roles, &encoding);
+  MovingObjectService svc(&tree, &store, &roles, encoding);
 
   Timestamp tq = 60.0;  // 01:00 — outside Carol's working hours.
   Rect window = Rect::CenteredSquare({500, 500}, 200.0);

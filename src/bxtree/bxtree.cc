@@ -85,20 +85,25 @@ Result<MovingObject> BxTree::GetObject(UserId id) const {
   return it->second.state;
 }
 
-namespace {
+Status BxTree::ScanInterval(ObjectBTree::LeafCursor& cursor,
+                            uint32_t partition, uint64_t zlo, uint64_t zhi,
+                            Timestamp tq, const Rect* refine,
+                            std::vector<SpatialCandidate>* out) {
+  BxKeyLayout layout = LayoutFor(options_);
+  CompositeKey start = CompositeKey::Min(layout.MakeKey(partition, zlo));
+  uint64_t end_primary = layout.MakeKey(partition, zhi);
+  counters_.range_probes++;
 
-/// Consumes entries from an iterator-like positioned at the scan start
-/// until the key leaves [.., end_primary]. Shared by the LeafCursor fast
-/// path and the legacy per-interval-descent path.
-template <typename It>
-Status ConsumeBxEntries(It& it, uint64_t end_primary, Timestamp tq,
-                        const Rect* refine, std::vector<SpatialCandidate>* out,
-                        QueryCounters* counters) {
-  while (it.Valid()) {
-    CompositeKey key = it.key();
+  size_t d0 = cursor.descents();
+  size_t h0 = cursor.chain_hops();
+  PEB_RETURN_NOT_OK(cursor.SeekGE(start));
+  counters_.seek_descents += cursor.descents() - d0;
+  counters_.leaf_hops += cursor.chain_hops() - h0;
+  while (cursor.Valid()) {
+    CompositeKey key = cursor.key();
     if (key.primary > end_primary) break;
-    ObjectRecord rec = it.value();
-    counters->candidates_examined++;
+    ObjectRecord rec = cursor.value();
+    counters_.candidates_examined++;
     MovingObject obj;
     obj.id = key.uid;
     obj.pos = {rec.x, rec.y};
@@ -108,34 +113,9 @@ Status ConsumeBxEntries(It& it, uint64_t end_primary, Timestamp tq,
     if (refine == nullptr || refine->Contains(pos)) {
       out->push_back({key.uid, pos, obj});
     }
-    PEB_RETURN_NOT_OK(it.Next());
+    PEB_RETURN_NOT_OK(cursor.Next());
   }
   return Status::OK();
-}
-
-}  // namespace
-
-Status BxTree::ScanInterval(ObjectBTree::LeafCursor* cursor,
-                            uint32_t partition, uint64_t zlo, uint64_t zhi,
-                            Timestamp tq, const Rect* refine,
-                            std::vector<SpatialCandidate>* out) {
-  BxKeyLayout layout = LayoutFor(options_);
-  CompositeKey start = CompositeKey::Min(layout.MakeKey(partition, zlo));
-  uint64_t end_primary = layout.MakeKey(partition, zhi);
-  counters_.range_probes++;
-
-  if (options_.leaf_cursor_fast_path && cursor != nullptr) {
-    size_t d0 = cursor->descents();
-    size_t h0 = cursor->chain_hops();
-    PEB_RETURN_NOT_OK(cursor->SeekGE(start));
-    counters_.seek_descents += cursor->descents() - d0;
-    counters_.leaf_hops += cursor->chain_hops() - h0;
-    return ConsumeBxEntries(*cursor, end_primary, tq, refine, out,
-                            &counters_);
-  }
-  counters_.seek_descents++;
-  PEB_ASSIGN_OR_RETURN(auto it, tree_.SeekGE(start));
-  return ConsumeBxEntries(it, end_primary, tq, refine, out, &counters_);
 }
 
 Result<std::vector<SpatialCandidate>> BxTree::RangeQuery(const Rect& range,
@@ -143,7 +123,6 @@ Result<std::vector<SpatialCandidate>> BxTree::RangeQuery(const Rect& range,
   counters_ = QueryCounters{};
   std::vector<SpatialCandidate> out;
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-  cursor.set_prefetch(options_.prefetch_next_leaf);
   for (const auto& [label, count] : label_counts_) {
     Timestamp tlab = options_.partitions.LabelTimestamp(label);
     uint32_t partition = options_.partitions.PartitionOf(label);
@@ -153,7 +132,7 @@ Result<std::vector<SpatialCandidate>> BxTree::RangeQuery(const Rect& range,
     Rect enlarged = range.Expanded(d);
     for (const CurveInterval& iv :
          ZIntervalsForWindow(grid_, enlarged, options_.zrange)) {
-      PEB_RETURN_NOT_OK(ScanInterval(&cursor, partition, iv.lo, iv.hi, tq,
+      PEB_RETURN_NOT_OK(ScanInterval(cursor, partition, iv.lo, iv.hi, tq,
                                      &range, &out));
     }
   }
@@ -252,7 +231,6 @@ Result<std::vector<Neighbor>> BxTree::KnnQuery(const Point& qloc, size_t k,
   std::unordered_map<int64_t, std::vector<CurveInterval>> covered;
 
   ObjectBTree::LeafCursor cursor = tree_.NewCursor();
-  cursor.set_prefetch(options_.prefetch_next_leaf);
   std::vector<SpatialCandidate> found;  // Reused across ring scans.
 
   for (size_t round = 1;; ++round) {
@@ -273,7 +251,7 @@ Result<std::vector<Neighbor>> BxTree::KnnQuery(const Point& qloc, size_t k,
       covered[label] = UnionIntervals(covered[label], intervals);
       for (const CurveInterval& iv : fresh) {
         found.clear();
-        PEB_RETURN_NOT_OK(ScanInterval(&cursor, partition, iv.lo, iv.hi, tq,
+        PEB_RETURN_NOT_OK(ScanInterval(cursor, partition, iv.lo, iv.hi, tq,
                                        nullptr, &found));
         for (const SpatialCandidate& c : found) consider(c);
       }

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <optional>
-#include <queue>
 #include <utility>
 
 #include "storage/fault_injection.h"
@@ -15,39 +14,12 @@ namespace engine {
 
 namespace {
 
-/// K-way merge by (distance, uid) of per-shard candidate lists — each
-/// already ascending by distance — into the engine's running verified
-/// list (kept ascending by distance).
-void KWayMergeByDistance(std::vector<const std::vector<Neighbor>*> lists,
-                         std::vector<Neighbor>* into) {
-  struct Head {
-    size_t list;
-    size_t pos;
-  };
-  auto head_less = [&lists](const Head& a, const Head& b) {
-    const Neighbor& na = (*lists[a.list])[a.pos];
-    const Neighbor& nb = (*lists[b.list])[b.pos];
-    if (na.distance != nb.distance) return na.distance > nb.distance;
-    return na.uid > nb.uid;  // Min-heap: invert.
-  };
-  std::priority_queue<Head, std::vector<Head>, decltype(head_less)> heap(
-      head_less);
-  size_t total = 0;
-  for (size_t l = 0; l < lists.size(); ++l) {
-    total += lists[l]->size();
-    if (!lists[l]->empty()) heap.push({l, 0});
-  }
-  if (total == 0) return;
-  std::vector<Neighbor> merged;
-  merged.reserve(total);
-  while (!heap.empty()) {
-    Head h = heap.top();
-    heap.pop();
-    merged.push_back((*lists[h.list])[h.pos]);
-    if (h.pos + 1 < lists[h.list]->size()) heap.push({h.list, h.pos + 1});
-  }
+/// Merges one shard's fresh candidates (ascending by distance) into the
+/// engine's running verified list (kept ascending by distance).
+void MergeByDistance(const std::vector<Neighbor>& fresh,
+                     std::vector<Neighbor>* into) {
   size_t mid = into->size();
-  into->insert(into->end(), merged.begin(), merged.end());
+  into->insert(into->end(), fresh.begin(), fresh.end());
   std::inplace_merge(into->begin(), into->begin() + mid, into->end(),
                      [](const Neighbor& a, const Neighbor& b) {
                        return a.distance < b.distance;
@@ -215,8 +187,6 @@ ShardedPebEngine::ShardedPebEngine(
                          static_cast<double>(st.physical_reads));
         out.emplace_back(p + "evictions",
                          static_cast<double>(st.evictions));
-        out.emplace_back(p + "prefetch_reads",
-                         static_cast<double>(st.prefetch_reads));
       }
       return out;
     });
@@ -1223,22 +1193,12 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
   // The engine drives the Figure-9 enlargement: every shard enlarges with
   // the same schedule (derived from GLOBAL workload state, so shard count
   // never changes the search geometry), scanning only its own friend rows.
-  // On the incremental path the schedule starts at the cost model's
-  // candidate-density seed radius; on the legacy path it is the
-  // paper-literal Dk/k step.
-  const bool incremental = options_.tree.index.incremental_knn;
-  double rq;
-  if (incremental) {
-    size_t total_friends = 0;
-    for (const auto& fl : per_shard) total_friends += fl.size();
-    rq = KnnSeedRadiusFor(total_friends, SizeLocked(),
-                          snapshot_->num_users(), k,
-                          options_.tree.index.space_side);
-  } else {
-    rq = EstimateKnnDistanceFor(SizeLocked(), k,
-                                options_.tree.index.space_side) /
-         static_cast<double>(k);
-  }
+  // The schedule starts at the cost model's candidate-density seed radius.
+  size_t total_friends = 0;
+  for (const auto& fl : per_shard) total_friends += fl.size();
+  const double rq =
+      KnnSeedRadiusFor(total_friends, SizeLocked(), snapshot_->num_users(), k,
+                       options_.tree.index.space_side);
   // Delta overlay AFTER the seed radius: the schedule above already uses
   // the authoritative SizeLocked() and the PRE-overlay friend count, so a
   // delta engine and a direct-apply engine at the same update prefix run
@@ -1271,7 +1231,6 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
     IoStats io;
   };
   std::vector<Slot> slots(shards_.size());
-  size_t max_diagonals = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (per_shard[s].empty()) continue;
     BufferPool::ThreadIoScope io_scope(collect ? &slots[s].io : nullptr);
@@ -1280,199 +1239,137 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
     MutexLock lock(&shard.mu);
     slots[s].scan.emplace(
         shard.tree->NewKnnScan(issuer, qloc, tq, rq, per_shard[s], &cache));
-    max_diagonals = std::max(max_diagonals, slots[s].scan->max_diagonals());
   }
 
-  if (incremental) {
-    // Streaming merge: ONE task per shard drives that shard's whole scan,
-    // publishing each anti-diagonal's candidates into the shared verified
-    // list as soon as they exist — no engine-wide per-round barrier, so a
-    // shard whose friends sit near the query point finishes and frees its
-    // worker while a sparse shard is still enlarging. Once k verified
-    // candidates exist globally, a shard whose covered radius already
-    // reaches the k-th distance RETIRES outright (its remaining annuli and
-    // final vertical scan provably cannot beat any current top-k entry);
-    // otherwise it stops enlarging and runs one vertical delta scan.
-    // Retirement with the k-th distance of the moment stays correct when
-    // later merges shrink it: unexamined users are farther than the
-    // retirement-time bound, which only ever exceeds the final one.
-    telemetry::TraceBuilder* trace = collect ? stats->trace : nullptr;
-    const size_t trace_parent =
-        collect ? stats->trace_span : telemetry::TraceSpan::kNoParent;
-    Mutex merge_mu;
-    std::vector<std::function<void()>> tasks;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!slots[s].scan.has_value()) continue;
-      tasks.push_back([this, s, k, collect, trace, trace_parent, &slots,
-                       &verified, &merge_mu] {
-        Slot& sl = slots[s];
-        BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-        size_t shard_span = telemetry::TraceSpan::kNoParent;
+  // Streaming merge: ONE task per shard drives that shard's whole scan,
+  // publishing each anti-diagonal's candidates into the shared verified
+  // list as soon as they exist — no engine-wide per-round barrier, so a
+  // shard whose friends sit near the query point finishes and frees its
+  // worker while a sparse shard is still enlarging. Once k verified
+  // candidates exist globally, a shard whose covered radius already
+  // reaches the k-th distance RETIRES outright (its remaining annuli and
+  // final vertical scan provably cannot beat any current top-k entry);
+  // otherwise it stops enlarging and runs one vertical delta scan.
+  // Retirement with the k-th distance of the moment stays correct when
+  // later merges shrink it: unexamined users are farther than the
+  // retirement-time bound, which only ever exceeds the final one.
+  telemetry::TraceBuilder* trace = collect ? stats->trace : nullptr;
+  const size_t trace_parent =
+      collect ? stats->trace_span : telemetry::TraceSpan::kNoParent;
+  Mutex merge_mu;
+  std::vector<std::function<void()>> tasks;
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (!slots[s].scan.has_value()) continue;
+    tasks.push_back([this, s, k, collect, trace, trace_parent, &slots,
+                     &verified, &merge_mu] {
+      Slot& sl = slots[s];
+      BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
+      size_t shard_span = telemetry::TraceSpan::kNoParent;
+      if (trace != nullptr) {
+        shard_span =
+            trace->StartSpan("shard " + std::to_string(s), trace_parent);
+        trace->Annotate(
+            shard_span, "runs=" + std::to_string(sl.scan->num_rows()));
+      }
+      Shard& shard = *shards_[s];
+      const size_t nd = sl.scan->max_diagonals();
+      // Per-round work a child span should be charged with: an inner
+      // ThreadIoScope is innermost-wins, so it SUPPRESSES the slot scope
+      // for its extent and the delta must be added back to sl.io by hand.
+      auto scan_round = [&](const std::string& name, size_t d,
+                            auto&& run) {
+        size_t round_span = telemetry::TraceSpan::kNoParent;
+        IoStats round_io;
+        QueryCounters before;
+        std::optional<BufferPool::ThreadIoScope> round_scope;
         if (trace != nullptr) {
-          shard_span =
-              trace->StartSpan("shard " + std::to_string(s), trace_parent);
-          trace->Annotate(
-              shard_span, "runs=" + std::to_string(sl.scan->num_rows()));
+          round_span = trace->StartSpan(name, shard_span);
+          before = sl.scan->counters();
+          round_scope.emplace(&round_io);
         }
-        Shard& shard = *shards_[s];
-        const size_t nd = sl.scan->max_diagonals();
-        // Per-round work a child span should be charged with: an inner
-        // ThreadIoScope is innermost-wins, so it SUPPRESSES the slot scope
-        // for its extent and the delta must be added back to sl.io by hand.
-        auto scan_round = [&](const std::string& name, size_t d,
-                              auto&& run) {
-          size_t round_span = telemetry::TraceSpan::kNoParent;
-          IoStats round_io;
-          QueryCounters before;
-          std::optional<BufferPool::ThreadIoScope> round_scope;
-          if (trace != nullptr) {
-            round_span = trace->StartSpan(name, shard_span);
-            before = sl.scan->counters();
-            round_scope.emplace(&round_io);
-          }
-          {
-            MutexLock lock(&shard.mu);
-            sl.status = run();
-          }
-          if (trace != nullptr) {
-            round_scope.reset();
-            sl.io += round_io;
-            QueryCounters after = sl.scan->counters();
-            QueryCounters delta;
-            delta.candidates_examined =
-                after.candidates_examined - before.candidates_examined;
-            delta.results = after.results - before.results;
-            delta.range_probes = after.range_probes - before.range_probes;
-            delta.rounds = after.rounds - before.rounds;
-            delta.seek_descents =
-                after.seek_descents - before.seek_descents;
-            delta.leaf_hops = after.leaf_hops - before.leaf_hops;
-            trace->AddStats(round_span, delta, round_io);
-            trace->Annotate(round_span,
-                            "radius=" + std::to_string(
-                                            sl.scan->RadiusForRound(d)));
-            trace->EndSpan(round_span);
-          }
-        };
-        auto close_shard_span = [&] {
-          if (trace != nullptr) {
-            trace->AddStats(shard_span, sl.scan->counters(), sl.io);
-            trace->EndSpan(shard_span);
-          }
-        };
-        for (size_t d = 0; d < nd; ++d) {
-          if (sl.scan->AllFound()) break;
-          double dk = 0.0;
-          bool have_k = false;
-          {
-            MutexLock g(&merge_mu);
-            if (verified.size() >= k) {
-              have_k = true;
-              dk = verified[k - 1].distance;
-            }
-          }
-          // shard.mu is taken per scan step, not for the whole task:
-          // other queries touching this shard interleave between rounds
-          // exactly as they did between the legacy path's barriers.
-          // (Mutations stay excluded for the whole query by state_mu_.)
-          if (have_k) {
-            // The global k-th distance bounds this shard's remaining work:
-            // it retires here, after at most one closing vertical scan.
-            telemetry::Inc(pknn_retirements_);
-            if (d == 0 ||
-                sl.scan->CoveredRadiusAfterDiagonal(d - 1) < dk) {
-              sl.fresh.clear();
-              scan_round("vertical", d, [&] {
-                return sl.scan->VerticalScan(dk, &sl.fresh);
-              });
-              if (!sl.status.ok() || sl.fresh.empty()) break;
-              MutexLock g(&merge_mu);
-              KWayMergeByDistance({&sl.fresh}, &verified);
-            }
-            // Else retired outright: the covered radius already reaches
-            // the global k-th distance, so even the vertical scan is moot.
-            break;
-          }
-          sl.fresh.clear();
-          telemetry::Inc(pknn_rounds_);
-          scan_round("round " + std::to_string(d), d, [&] {
-            return sl.scan->ScanDiagonal(d, &sl.fresh);
-          });
-          if (!sl.status.ok()) break;
-          if (!sl.fresh.empty()) {
-            MutexLock g(&merge_mu);
-            KWayMergeByDistance({&sl.fresh}, &verified);
+        {
+          MutexLock lock(&shard.mu);
+          sl.status = run();
+        }
+        if (trace != nullptr) {
+          round_scope.reset();
+          sl.io += round_io;
+          QueryCounters after = sl.scan->counters();
+          QueryCounters delta;
+          delta.candidates_examined =
+              after.candidates_examined - before.candidates_examined;
+          delta.results = after.results - before.results;
+          delta.range_probes = after.range_probes - before.range_probes;
+          delta.rounds = after.rounds - before.rounds;
+          delta.seek_descents =
+              after.seek_descents - before.seek_descents;
+          delta.leaf_hops = after.leaf_hops - before.leaf_hops;
+          trace->AddStats(round_span, delta, round_io);
+          trace->Annotate(round_span,
+                          "radius=" + std::to_string(
+                                          sl.scan->RadiusForRound(d)));
+          trace->EndSpan(round_span);
+        }
+      };
+      auto close_shard_span = [&] {
+        if (trace != nullptr) {
+          trace->AddStats(shard_span, sl.scan->counters(), sl.io);
+          trace->EndSpan(shard_span);
+        }
+      };
+      for (size_t d = 0; d < nd; ++d) {
+        if (sl.scan->AllFound()) break;
+        double dk = 0.0;
+        bool have_k = false;
+        {
+          MutexLock g(&merge_mu);
+          if (verified.size() >= k) {
+            have_k = true;
+            dk = verified[k - 1].distance;
           }
         }
-        // Every diagonal exhausted: the scan covered the whole space for
-        // each run that still has unlocated users, so those users are
-        // simply not hosted here — nothing left to rule out.
-        close_shard_span();
-      });
-    }
-    threads_.RunAll(std::move(tasks));
-    for (Slot& slot : slots) {
-      if (!slot.scan.has_value()) continue;
-      PEB_RETURN_NOT_OK(slot.status);
-    }
-  } else {
-    bool need_vertical = false;
-    for (size_t d = 0; d < max_diagonals && !need_vertical; ++d) {
-      std::vector<std::function<void()>> tasks;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        Slot& slot = slots[s];
-        if (!slot.scan.has_value() || slot.scan->AllFound()) continue;
-        if (d >= slot.scan->max_diagonals()) continue;
-        tasks.push_back([this, s, d, collect, &slots] {
-          Slot& sl = slots[s];
-          BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-          telemetry::Inc(pknn_rounds_);
-          Shard& shard = *shards_[s];
-          MutexLock lock(&shard.mu);
-          sl.status = sl.scan->ScanDiagonal(d, &sl.fresh);
+        // shard.mu is taken per scan step, not for the whole task:
+        // other queries touching this shard interleave between rounds.
+        // (Mutations stay excluded for the whole query by state_mu_.)
+        if (have_k) {
+          // The global k-th distance bounds this shard's remaining work:
+          // it retires here, after at most one closing vertical scan.
+          telemetry::Inc(pknn_retirements_);
+          if (d == 0 ||
+              sl.scan->CoveredRadiusAfterDiagonal(d - 1) < dk) {
+            sl.fresh.clear();
+            scan_round("vertical", d, [&] {
+              return sl.scan->VerticalScan(dk, &sl.fresh);
+            });
+            if (!sl.status.ok() || sl.fresh.empty()) break;
+            MutexLock g(&merge_mu);
+            MergeByDistance(sl.fresh, &verified);
+          }
+          // Else retired outright: the covered radius already reaches
+          // the global k-th distance, so even the vertical scan is moot.
+          break;
+        }
+        sl.fresh.clear();
+        telemetry::Inc(pknn_rounds_);
+        scan_round("round " + std::to_string(d), d, [&] {
+          return sl.scan->ScanDiagonal(d, &sl.fresh);
         });
+        if (!sl.status.ok()) break;
+        if (!sl.fresh.empty()) {
+          MutexLock g(&merge_mu);
+          MergeByDistance(sl.fresh, &verified);
+        }
       }
-      if (tasks.empty()) break;  // Every shard located all its friends.
-      threads_.RunAll(std::move(tasks));
-
-      std::vector<const std::vector<Neighbor>*> fresh_lists;
-      for (Slot& slot : slots) {
-        if (!slot.scan.has_value()) continue;
-        PEB_RETURN_NOT_OK(slot.status);
-        fresh_lists.push_back(&slot.fresh);
-      }
-      KWayMergeByDistance(std::move(fresh_lists), &verified);
-      for (Slot& slot : slots) slot.fresh.clear();
-      if (verified.size() >= k) need_vertical = true;
-    }
-
-    // Section 5.4's final step, fanned out: every shard with unlocated
-    // friends scans the square bounded by the global k-th distance, ruling
-    // out closer unexamined candidates. After this the merged list is
-    // exact.
-    if (need_vertical) {
-      double dk = verified[k - 1].distance;
-      std::vector<std::function<void()>> tasks;
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        Slot& slot = slots[s];
-        if (!slot.scan.has_value() || slot.scan->AllFound()) continue;
-        tasks.push_back([this, s, dk, collect, &slots] {
-          Slot& sl = slots[s];
-          BufferPool::ThreadIoScope io_scope(collect ? &sl.io : nullptr);
-          Shard& shard = *shards_[s];
-          MutexLock lock(&shard.mu);
-          sl.status = sl.scan->VerticalScan(dk, &sl.fresh);
-        });
-      }
-      threads_.RunAll(std::move(tasks));
-      std::vector<const std::vector<Neighbor>*> fresh_lists;
-      for (Slot& slot : slots) {
-        if (!slot.scan.has_value()) continue;
-        PEB_RETURN_NOT_OK(slot.status);
-        fresh_lists.push_back(&slot.fresh);
-      }
-      KWayMergeByDistance(std::move(fresh_lists), &verified);
-    }
+      // Every diagonal exhausted: the scan covered the whole space for
+      // each run that still has unlocated users, so those users are
+      // simply not hosted here — nothing left to rule out.
+      close_shard_span();
+    });
+  }
+  threads_.RunAll(std::move(tasks));
+  for (Slot& slot : slots) {
+    if (!slot.scan.has_value()) continue;
+    PEB_RETURN_NOT_OK(slot.status);
   }
 
   if (verified.size() > k) verified.resize(k);

@@ -16,8 +16,7 @@
 // friends it hosts, on a fixed ThreadPool, so the total key-range probe
 // count matches the single-tree index while wall-clock drops with
 // parallelism. Per-shard candidate lists are merged into one result
-// (k-way merge by distance for PkNN). On the incremental PkNN path
-// (MovingIndexOptions::incremental_knn, the default) the engine runs ONE
+// (by distance for PkNN). For PkNN the engine runs ONE
 // streaming task per shard instead of a per-round barrier: each shard
 // publishes its anti-diagonal's candidates into a shared verified list as
 // soon as they exist, and a shard retires the moment its provably covered
@@ -194,14 +193,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   ShardedPebEngine(const EngineOptions& options, const PolicyStore* store,
                    const RoleRegistry* roles,
                    std::shared_ptr<const EncodingSnapshot> snapshot);
-
-  /// Legacy bridge for static worlds: non-owning view of `encoding`.
-  ShardedPebEngine(const EngineOptions& options, const PolicyStore* store,
-                   const RoleRegistry* roles, const PolicyEncoding* encoding)
-      : ShardedPebEngine(options, store, roles,
-                         std::shared_ptr<const EncodingSnapshot>(
-                             std::shared_ptr<const EncodingSnapshot>(),
-                             encoding)) {}
 
   /// Unregisters this engine's registry collector (benches construct many
   /// engines against the long-lived default registry).

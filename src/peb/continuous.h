@@ -71,18 +71,6 @@ class ContinuousQueryMonitor {
                          std::shared_ptr<const EncodingSnapshot> snapshot,
                          double time_domain = kDefaultTimeDomain);
 
-  /// Legacy bridge: non-owning view of `encoding` (must outlive the
-  /// monitor).
-  ContinuousQueryMonitor(PrivacyAwareIndex* index, const PolicyStore* store,
-                         const RoleRegistry* roles,
-                         const PolicyEncoding* encoding,
-                         double time_domain = kDefaultTimeDomain)
-      : ContinuousQueryMonitor(index, store, roles,
-                               std::shared_ptr<const EncodingSnapshot>(
-                                   std::shared_ptr<const EncodingSnapshot>(),
-                                   encoding),
-                               time_domain) {}
-
   /// Adopts a new encoding snapshot at time `now`: watcher lists are
   /// rebuilt from the new friend lists and every registered query's
   /// membership is re-evaluated — users who lost their policy toward an

@@ -1,4 +1,4 @@
-// Sequence-value assignment (Section 5.1, Figure 5) and the PolicyEncoding
+// Sequence-value assignment (Section 5.1, Figure 5) and the EncodingSnapshot
 // bundle that the PEB-tree and its query algorithms consume.
 //
 // The algorithm:
@@ -214,9 +214,5 @@ class EncodingSnapshot {
   /// Per-user friend lists, shared across derived snapshots (never null).
   std::vector<FriendList> friends_;
 };
-
-/// Legacy name from the one-shot (frozen-policy) era; the type is now the
-/// epoch-snapshot. Kept so static-world callers read naturally.
-using PolicyEncoding = EncodingSnapshot;
 
 }  // namespace peb

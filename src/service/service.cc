@@ -54,11 +54,10 @@ MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
   InitTelemetry();
 }
 
-MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
-                                         const PolicyStore* store,
-                                         const RoleRegistry* roles,
-                                         const PolicyEncoding* encoding,
-                                         ServiceOptions options)
+MovingObjectService::MovingObjectService(
+    PrivacyAwareIndex* index, const PolicyStore* store,
+    const RoleRegistry* roles, std::shared_ptr<const EncodingSnapshot> snapshot,
+    ServiceOptions options)
     : index_(index),
       engine_(dynamic_cast<engine::ShardedPebEngine*>(index)),
       catalog_(nullptr),
@@ -66,12 +65,9 @@ MovingObjectService::MovingObjectService(PrivacyAwareIndex* index,
       roles_(roles),
       options_(options),
       workers_(options.num_workers) {
-  if (store_ != nullptr && roles_ != nullptr && encoding != nullptr) {
+  if (store_ != nullptr && roles_ != nullptr && snapshot != nullptr) {
     monitor_ = std::make_unique<ContinuousQueryMonitor>(
-        index_, store_, roles_,
-        std::shared_ptr<const EncodingSnapshot>(
-            std::shared_ptr<const EncodingSnapshot>(), encoding),
-        options_.time_domain);
+        index_, store_, roles_, std::move(snapshot), options_.time_domain);
   }
   InitTelemetry();
 }

@@ -97,13 +97,13 @@ class MovingObjectService {
   MovingObjectService(PrivacyAwareIndex* index, PolicyCatalog* catalog,
                       ServiceOptions options = {});
 
-  /// Static-world service: `store`/`roles`/`encoding` enable continuous-
+  /// Static-world service: `store`/`roles`/`snapshot` enable continuous-
   /// query requests (pass the workload's; nullptr disables them with
-  /// NotSupported); policy mutations answer NotSupported. All referenced
-  /// objects must outlive the service.
+  /// NotSupported); policy mutations answer NotSupported. The index, store
+  /// and roles must outlive the service; the service shares the snapshot.
   MovingObjectService(PrivacyAwareIndex* index, const PolicyStore* store,
                       const RoleRegistry* roles,
-                      const PolicyEncoding* encoding,
+                      std::shared_ptr<const EncodingSnapshot> snapshot,
                       ServiceOptions options = {});
 
   /// Convenience: queries only (continuous requests -> NotSupported).

@@ -471,9 +471,11 @@ TEST_F(CrashRecoveryTest, ContinuousEventStreamsMatchAfterRecovery) {
   // services register the same standing query, apply the same remaining
   // batches, and must emit identical membership event streams.
   MovingObjectService recovered_svc(reopened->get(), &world_->store(),
-                                    &world_->roles(), &world_->encoding());
+                                    &world_->roles(),
+                                    world_->catalog().snapshot());
   MovingObjectService oracle_svc(oracle.get(), &world_->store(),
-                                 &world_->roles(), &world_->encoding());
+                                 &world_->roles(),
+                                 world_->catalog().snapshot());
   const Rect district = Rect::CenteredSquare({500, 500}, 320.0);
   const Timestamp t0 = QueryTime(durable);
   auto reg_a = recovered_svc.Execute(

@@ -13,6 +13,7 @@
 #include "engine/sharded_engine.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -57,7 +58,7 @@ Workload* EngineWorldTest::world_ = nullptr;
 
 TEST_F(EngineWorldTest, RoutersAreStableAndInRange) {
   for (RouterPolicy policy : {RouterPolicy::kHashUser, RouterPolicy::kSvRange}) {
-    auto router = engine::MakeRouter(policy, 7, &world().encoding());
+    auto router = engine::MakeRouter(policy, 7, world().catalog()->snapshot());
     ASSERT_NE(router, nullptr);
     std::vector<size_t> population(7, 0);
     for (UserId u = 0; u < world().params().num_users; ++u) {
@@ -76,7 +77,7 @@ TEST_F(EngineWorldTest, RoutersAreStableAndInRange) {
 }
 
 TEST_F(EngineWorldTest, SvRangeRouterKeepsEqualSvsTogether) {
-  engine::SvRangeRouter router(4, &world().encoding());
+  engine::SvRangeRouter router(4, world().catalog()->snapshot());
   const auto& enc = world().encoding();
   for (UserId a = 0; a < world().params().num_users; ++a) {
     for (UserId b = a + 1; b < world().params().num_users && b < a + 20; ++b) {
@@ -253,35 +254,33 @@ TEST_F(EngineWorldTest, AggregateIoIsTheSharedPool) {
 }
 
 // ---------------------------------------------------------------------------
-// LeafCursor fast path result equivalence
+// Cursor scan path vs the brute-force reference
 // ---------------------------------------------------------------------------
 
-// A single PEB-tree on its own pool, configurable down to the legacy
-// per-interval root-descent scan path (kept behind
-// MovingIndexOptions::leaf_cursor_fast_path exactly for this test).
-struct SingleTree {
-  explicit SingleTree(Workload& w, bool fast_path, uint64_t coalesce_gap) {
-    PebTreeOptions opts = eval::PebOptionsFor(w.params());
-    opts.index.leaf_cursor_fast_path = fast_path;
-    opts.index.zrange.coalesce_gap = coalesce_gap;
-    pool = std::make_unique<BufferPool>(
-        &disk, BufferPoolOptions{w.params().buffer_pages});
-    tree = std::make_unique<PebTree>(pool.get(), opts, &w.store(), &w.roles(),
-                                     &w.encoding());
-    for (const MovingObject& o : w.dataset().objects) {
-      EXPECT_TRUE(tree->Insert(o).ok());
-    }
+/// Checks a PRQ answer and a PkNN answer against the brute-force
+/// Definition-2 reference (tests/test_util.h). Distances must match bit for
+/// bit: both sides extrapolate the same stored state to tq.
+void ExpectPrqMatchesReference(Workload& w, const eval::PrqQuery& query,
+                               const std::vector<UserId>& got) {
+  EXPECT_EQ(got, testing::BruteForcePrq(w.dataset(), w.store(), w.roles(),
+                                        query.issuer, query.range, query.tq,
+                                        w.params().time_domain));
+}
+
+void ExpectPknnMatchesReference(Workload& w, const eval::PknnQuery& query,
+                                const std::vector<Neighbor>& got) {
+  std::vector<Neighbor> want = testing::BruteForcePknn(
+      w.dataset(), w.store(), w.roles(), query.issuer, query.qloc, query.k,
+      query.tq, w.params().time_domain);
+  std::vector<Neighbor> gn = Normalized(got);
+  ASSERT_EQ(gn.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(gn[i].uid, want[i].uid);
+    EXPECT_EQ(gn[i].distance, want[i].distance);
   }
+}
 
-  InMemoryDiskManager disk;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<PebTree> tree;
-};
-
-TEST_F(EngineWorldTest, FastPathAnswersAreBitIdenticalToLegacyDescents) {
-  SingleTree legacy(world(), /*fast_path=*/false, /*coalesce_gap=*/0);
-  SingleTree fast(world(), /*fast_path=*/true, /*coalesce_gap=*/3);
-
+TEST_F(EngineWorldTest, CursorScanAnswersMatchBruteForce) {
   QuerySetOptions q;
   q.count = 40;
   q.seed = 1234;
@@ -289,37 +288,25 @@ TEST_F(EngineWorldTest, FastPathAnswersAreBitIdenticalToLegacyDescents) {
   auto knn = MakePknnQueries(world(), q);
 
   for (const auto& query : prq) {
-    auto a = legacy.tree->RangeQuery(query.issuer, query.range, query.tq);
-    auto b = fast.tree->RangeQuery(query.issuer, query.range, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
+    auto got = world().peb().RangeQuery(query.issuer, query.range, query.tq);
+    ASSERT_TRUE(got.ok());
+    ExpectPrqMatchesReference(world(), query, *got);
   }
-  QueryCounters fast_totals;
+  QueryCounters totals;
   for (const auto& query : knn) {
-    auto a = legacy.tree->KnnQuery(query.issuer, query.qloc, query.k,
-                                   query.tq);
     QueryStats stats;
-    auto b = fast.tree->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                          query.tq, &stats);
-    fast_totals += stats.counters;
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].uid, (*b)[i].uid);
-      // Bit-identical: the fast path scans the same entries in the same
-      // order, so even floating-point distances must match exactly.
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-    }
+    auto got = world().peb().KnnQueryWithStats(query.issuer, query.qloc,
+                                               query.k, query.tq, &stats);
+    totals += stats.counters;
+    ASSERT_TRUE(got.ok());
+    ExpectPknnMatchesReference(world(), query, *got);
   }
-  // The fast path actually engaged: descents far below one per probe.
-  EXPECT_GT(fast_totals.range_probes, 0u);
-  EXPECT_LT(fast_totals.seek_descents, fast_totals.range_probes);
+  // The leaf cursor actually engaged: descents far below one per probe.
+  EXPECT_GT(totals.range_probes, 0u);
+  EXPECT_LT(totals.seek_descents, totals.range_probes);
 }
 
-TEST_F(EngineWorldTest, EngineFastPathMatchesLegacySingleTree) {
-  SingleTree legacy(world(), /*fast_path=*/false, /*coalesce_gap=*/0);
+TEST_F(EngineWorldTest, EngineAnswersMatchBruteForce) {
   auto engine = MakeEngine(world(), 4, 4);
 
   QuerySetOptions q;
@@ -327,24 +314,15 @@ TEST_F(EngineWorldTest, EngineFastPathMatchesLegacySingleTree) {
   q.seed = 4321;
   auto prq = MakePrqQueries(world(), q);
   for (const auto& query : prq) {
-    auto a = legacy.tree->RangeQuery(query.issuer, query.range, query.tq);
-    auto b = engine->RangeQuery(query.issuer, query.range, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b);
+    auto got = engine->RangeQuery(query.issuer, query.range, query.tq);
+    ASSERT_TRUE(got.ok());
+    ExpectPrqMatchesReference(world(), query, *got);
   }
   auto knn = MakePknnQueries(world(), q);
   for (const auto& query : knn) {
-    auto a = legacy.tree->KnnQuery(query.issuer, query.qloc, query.k,
-                                   query.tq);
-    auto b = engine->KnnQuery(query.issuer, query.qloc, query.k, query.tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a->size(), b->size());
-    for (size_t i = 0; i < a->size(); ++i) {
-      EXPECT_EQ((*a)[i].uid, (*b)[i].uid);
-      EXPECT_EQ((*a)[i].distance, (*b)[i].distance);
-    }
+    auto got = engine->KnnQuery(query.issuer, query.qloc, query.k, query.tq);
+    ASSERT_TRUE(got.ok());
+    ExpectPknnMatchesReference(world(), query, *got);
   }
 }
 

@@ -1,9 +1,10 @@
-// Incremental PkNN tests: the incremental path (cost-model-seeded radius,
-// exact annulus-delta scans, qsv-run coalescing, streaming shard merge
-// with retirement) must be observationally identical to the legacy
-// Figure-9 round path — for any shard count, for adversarial k values at
-// or above the number of matching friends, and while policy-encoding
-// epochs transition under the queries. Runs under the TSan CI job.
+// PkNN tests: the search (cost-model-seeded radius, exact annulus-delta
+// scans, qsv-run coalescing, streaming shard merge with retirement) must
+// answer exactly what the brute-force Definition-2 reference
+// (tests/test_util.h) answers — for any shard count, for adversarial k
+// values at or above the number of matching friends, and while
+// policy-encoding epochs transition under the queries. Runs under the TSan
+// CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "policy/policy_catalog.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -38,27 +40,6 @@ WorkloadParams SmallParams(uint64_t seed) {
   return p;
 }
 
-/// A single PEB-tree on its own pool with the incremental path forced on
-/// or off (the legacy round path is kept behind
-/// MovingIndexOptions::incremental_knn exactly for this oracle role).
-struct OracleTree {
-  OracleTree(const Workload& w, bool incremental) {
-    PebTreeOptions opts = eval::PebOptionsFor(w.params());
-    opts.index.incremental_knn = incremental;
-    pool = std::make_unique<BufferPool>(
-        &disk, BufferPoolOptions{w.params().buffer_pages});
-    tree = std::make_unique<PebTree>(pool.get(), opts, &w.store(), &w.roles(),
-                                     &w.encoding());
-    for (const MovingObject& o : w.dataset().objects) {
-      EXPECT_TRUE(tree->Insert(o).ok());
-    }
-  }
-
-  InMemoryDiskManager disk;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<PebTree> tree;
-};
-
 /// Sorts a kNN answer by (distance, uid): distances are continuous, so
 /// this only normalizes the order of exact ties, which merges may permute.
 std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
@@ -69,121 +50,65 @@ std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
   return v;
 }
 
-void ExpectBitIdentical(const std::vector<Neighbor>& want,
-                        const std::vector<Neighbor>& got,
-                        const char* context, size_t qi) {
-  std::vector<Neighbor> wn = Normalized(want);
+/// Checks `got` against the brute-force reference answer for `query` at
+/// `k`: same uids, and bit-identical distances — both sides extrapolate
+/// the same stored state to tq and measure the same Euclidean distance.
+void ExpectMatchesReference(const Workload& w, const PknnQuery& query,
+                            size_t k, const std::vector<Neighbor>& got,
+                            const char* context, size_t qi) {
+  std::vector<Neighbor> want = testing::BruteForcePknn(
+      w.dataset(), w.store(), w.roles(), query.issuer, query.qloc, k,
+      query.tq, w.params().time_domain);
   std::vector<Neighbor> gn = Normalized(got);
-  ASSERT_EQ(gn.size(), wn.size()) << context << " query " << qi;
-  for (size_t r = 0; r < wn.size(); ++r) {
-    EXPECT_EQ(gn[r].uid, wn[r].uid) << context << " query " << qi
-                                    << " rank " << r;
-    // Bit-identical: the same candidate's distance is computed from the
-    // same stored record on either path.
-    EXPECT_EQ(gn[r].distance, wn[r].distance)
+  ASSERT_EQ(gn.size(), want.size()) << context << " query " << qi;
+  for (size_t r = 0; r < want.size(); ++r) {
+    EXPECT_EQ(gn[r].uid, want[r].uid) << context << " query " << qi
+                                      << " rank " << r;
+    EXPECT_EQ(gn[r].distance, want[r].distance)
         << context << " query " << qi << " rank " << r;
   }
 }
 
-class PknnWorldTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    world_ = new Workload(Workload::Build(SmallParams(17)));
-  }
-  static void TearDownTestSuite() {
-    delete world_;
-    world_ = nullptr;
-  }
-  static Workload& world() { return *world_; }
-
-  static Workload* world_;
-};
-
-Workload* PknnWorldTest::world_ = nullptr;
-
-TEST_F(PknnWorldTest, SingleTreeIncrementalBitIdenticalToLegacy) {
-  OracleTree legacy(world(), /*incremental=*/false);
-  OracleTree inc(world(), /*incremental=*/true);
+TEST(PknnWorldTest, SingleTreeMatchesBruteForce) {
+  Workload w = Workload::Build(SmallParams(17));
 
   QuerySetOptions q;
   q.count = 40;
   q.seed = 2024;
-  auto knn = MakePknnQueries(world(), q);
+  auto knn = MakePknnQueries(w, q);
   bool any_results = false;
   for (size_t i = 0; i < knn.size(); ++i) {
-    auto a = legacy.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
-                                   knn[i].tq);
-    auto b = inc.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
+    auto got = w.peb().KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
                                 knn[i].tq);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ExpectBitIdentical(*a, *b, "single-tree", i);
-    any_results |= !b->empty();
+    ASSERT_TRUE(got.ok());
+    ExpectMatchesReference(w, knn[i], knn[i].k, *got, "single-tree", i);
+    any_results |= !got->empty();
   }
   EXPECT_TRUE(any_results);  // The batch exercised non-trivial searches.
 }
 
-TEST_F(PknnWorldTest, IncrementalDoesLessWorkThanLegacy) {
-  OracleTree legacy(world(), /*incremental=*/false);
-  OracleTree inc(world(), /*incremental=*/true);
-
-  QuerySetOptions q;
-  q.count = 40;
-  q.seed = 909;
-  auto knn = MakePknnQueries(world(), q);
-  size_t legacy_descents = 0, inc_descents = 0;
-  size_t legacy_rounds = 0, inc_rounds = 0;
-  for (const PknnQuery& query : knn) {
-    QueryStats legacy_stats;
-    ASSERT_TRUE(legacy.tree
-                    ->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                        query.tq, &legacy_stats)
-                    .ok());
-    legacy_descents += legacy_stats.counters.seek_descents;
-    legacy_rounds += legacy_stats.counters.rounds;
-    QueryStats inc_stats;
-    ASSERT_TRUE(inc.tree
-                    ->KnnQueryWithStats(query.issuer, query.qloc, query.k,
-                                        query.tq, &inc_stats)
-                    .ok());
-    inc_descents += inc_stats.counters.seek_descents;
-    inc_rounds += inc_stats.counters.rounds;
-  }
-  // The seeded schedule needs fewer enlargement rounds and the annulus
-  // deltas + qsv runs need fewer positioning descents.
-  EXPECT_LT(inc_rounds, legacy_rounds);
-  EXPECT_LT(inc_descents, legacy_descents);
-}
-
 class PknnShardCountTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(PknnShardCountTest, EngineIncrementalBitIdenticalToLegacyRoundPath) {
+TEST_P(PknnShardCountTest, EngineMatchesBruteForce) {
   const size_t shards = GetParam();
   Workload w = Workload::Build(SmallParams(29));
-  OracleTree legacy(w, /*incremental=*/false);
-  auto engine = MakeEngine(w, shards, 4);  // Incremental by default.
-  ASSERT_TRUE(engine->options().tree.index.incremental_knn);
+  auto engine = MakeEngine(w, shards, 4);
 
   QuerySetOptions q;
   q.count = 30;
   q.seed = 3030;
   auto knn = MakePknnQueries(w, q);
   for (size_t i = 0; i < knn.size(); ++i) {
-    auto want = legacy.tree->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k,
-                                      knn[i].tq);
     auto got =
         engine->KnnQuery(knn[i].issuer, knn[i].qloc, knn[i].k, knn[i].tq);
-    ASSERT_TRUE(want.ok());
     ASSERT_TRUE(got.ok());
-    ExpectBitIdentical(*want, *got, "engine", i);
+    ExpectMatchesReference(w, knn[i], knn[i].k, *got, "engine", i);
   }
 }
 
 TEST_P(PknnShardCountTest, AdversarialKAtOrAboveMatchingFriends) {
   const size_t shards = GetParam();
   Workload w = Workload::Build(SmallParams(31));
-  OracleTree legacy(w, /*incremental=*/false);
-  OracleTree inc(w, /*incremental=*/true);
   auto engine = MakeEngine(w, shards, 2);
 
   // With 10 policies/user an issuer has far fewer matching friends than
@@ -195,18 +120,15 @@ TEST_P(PknnShardCountTest, AdversarialKAtOrAboveMatchingFriends) {
   auto knn = MakePknnQueries(w, q);
   for (size_t k : {25u, 200u, 800u, 1000u}) {
     for (size_t i = 0; i < knn.size(); ++i) {
-      auto want =
-          legacy.tree->KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
       auto single =
-          inc.tree->KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
+          w.peb().KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
       auto fanned =
           engine->KnnQuery(knn[i].issuer, knn[i].qloc, k, knn[i].tq);
-      ASSERT_TRUE(want.ok());
       ASSERT_TRUE(single.ok());
       ASSERT_TRUE(fanned.ok());
-      EXPECT_LE(want->size(), k);
-      ExpectBitIdentical(*want, *single, "adversarial-single", i);
-      ExpectBitIdentical(*want, *fanned, "adversarial-engine", i);
+      EXPECT_LE(single->size(), k);
+      ExpectMatchesReference(w, knn[i], k, *single, "adversarial-single", i);
+      ExpectMatchesReference(w, knn[i], k, *fanned, "adversarial-engine", i);
     }
   }
 }

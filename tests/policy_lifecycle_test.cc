@@ -503,7 +503,8 @@ TEST(PolicyLifecycle, RevocationIsImmediateGrantWaitsForEpoch) {
 
 TEST(PolicyLifecycle, MutationsNotSupportedWithoutCatalog) {
   Workload w = Workload::Build(ChurnParams(54));
-  MovingObjectService svc(&w.peb(), &w.store(), &w.roles(), &w.encoding());
+  MovingObjectService svc(&w.peb(), &w.store(), &w.roles(),
+                          w.catalog()->snapshot());
   QueryResponse resp = svc.Execute(
       QueryRequest::AddPolicy(1, 2, WideOpenPolicy(0), w.now()));
   EXPECT_EQ(resp.status.code(), StatusCode::kNotSupported);

@@ -371,7 +371,7 @@ TEST(SequenceValues, HigherCompatibilityGivesCloserValues) {
 }
 
 // ---------------------------------------------------------------------------
-// Quantizer and PolicyEncoding
+// Quantizer and EncodingSnapshot
 // ---------------------------------------------------------------------------
 
 TEST(SvQuantizer, ScalesAndClamps) {
@@ -392,7 +392,7 @@ TEST(SvQuantizer, PreservesOrderUpToTies) {
   }
 }
 
-TEST(PolicyEncoding, FriendListsSortedAndComplete) {
+TEST(EncodingSnapshot, FriendListsSortedAndComplete) {
   PolicyGeneratorOptions opt;
   opt.num_users = 300;
   opt.policies_per_user = 10;
@@ -402,8 +402,8 @@ TEST(PolicyEncoding, FriendListsSortedAndComplete) {
 
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);
-  PolicyEncoding enc = PolicyEncoding::Build(gen.store, opt.num_users, compat,
-                                             {}, quant);
+  EncodingSnapshot enc = EncodingSnapshot::Build(gen.store, opt.num_users,
+                                                 compat, {}, quant);
 
   EXPECT_EQ(enc.num_users(), 300u);
   for (UserId u = 0; u < 300; ++u) {
@@ -520,7 +520,7 @@ TEST(RelatednessGraph, BuildMatchesReferenceForAnyPoolSize) {
   }
 }
 
-TEST(PolicyEncoding, BuildMatchesReferenceEncoding) {
+TEST(EncodingSnapshot, BuildMatchesReferenceEncoding) {
   ZeroPairWorld world = MakeZeroPairWorld();
   CompatibilityOptions compat;
   SvQuantizer quant(64.0, 26);

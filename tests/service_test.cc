@@ -199,7 +199,7 @@ TEST(ServiceSubmit, FuturesMatchSerialExecution) {
   ServiceOptions opts;
   opts.num_workers = 4;
   MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding(), opts);
+                          w.catalog()->snapshot(), opts);
 
   QuerySetOptions q;
   q.count = 40;
@@ -239,7 +239,7 @@ TEST(ServiceSubmit, ExpiredDeadlineIsShed) {
   ServiceOptions opts;
   opts.num_workers = 1;  // FIFO: later requests wait for the first.
   MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding(), opts);
+                          w.catalog()->snapshot(), opts);
 
   // Occupy the single worker, then submit requests whose deadline (10 ns)
   // must already be exceeded by the time the worker reaches them.
@@ -325,7 +325,7 @@ TEST(ServiceConcurrency, MixedSubmitAgainstUpdateSessionStaysExact) {
   ServiceOptions opts;
   opts.num_workers = 4;
   MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding(), opts);
+                          w.catalog()->snapshot(), opts);
   auto session = svc.OpenUpdateSession(stream.get(), /*batch_size=*/256);
 
   // Fire the mixed async wave, then apply the whole batch concurrently.
@@ -385,7 +385,7 @@ TEST(ServiceConcurrency, ManualThreadsHammerExecute) {
   Workload w = Workload::Build(SmallParams(39));
   auto engine = MakeEngine(w, 4, 2);
   MovingObjectService svc(engine.get(), &w.store(), &w.roles(),
-                          &w.encoding());
+                          w.catalog()->snapshot());
 
   QuerySetOptions q;
   q.count = 24;
@@ -540,7 +540,7 @@ TEST(ServiceContinuous, IdenticalEventStreamsAcrossShardCounts) {
     Instance inst;
     inst.engine = MakeEngine(w, shards, 2);
     inst.svc = std::make_unique<MovingObjectService>(
-        inst.engine.get(), &w.store(), &w.roles(), &w.encoding());
+        inst.engine.get(), &w.store(), &w.roles(), w.catalog()->snapshot());
     inst.stream = eval::CloneUniformUpdateStream(w);
     return inst;
   };
