@@ -43,22 +43,12 @@ struct MovingIndexOptions {
   /// answers are unchanged) but saves one key-range probe per merge.
   ZRangeOptions zrange{.max_intervals = 0, .coalesce_gap = 3};
   /// Run the deep structural validators (ValidateInvariants) inside every
-  /// exclusive batch section — ApplyBatch, LoadDataset, AdoptSnapshot —
-  /// so a corrupting batch is rejected before any query can observe it.
-  /// Costs a full tree walk per batch (see README "Correctness tooling");
+  /// exclusive section that changes tree structure — LoadDataset,
+  /// AdoptSnapshot, and the sharded engine's delta merges — so a
+  /// corrupting change is rejected before any query can observe it.
+  /// Costs a full tree walk per section (see README "Correctness tooling");
   /// off by default, on in the randomized-churn invariant tests.
   bool paranoid_checks = false;
-  /// Log-structured update ingestion (sharded engine only): updates append
-  /// to a per-shard in-memory delta (memtable) under a cheap per-shard
-  /// latch instead of applying to the B+-tree under the engine-wide
-  /// exclusive state lock, and every read path merges the delta with the
-  /// tree scan (delta entries shadow tree entries by object id, tombstones
-  /// suppress them). Deltas drain into the trees in bounded merges — on a
-  /// record-count threshold, an optional background thread, or explicit
-  /// MergeDeltas(). The direct-apply path is kept behind this flag as the
-  /// result-equivalence oracle for tests and the A/B interference bench
-  /// cell.
-  bool delta_ingest = true;
 };
 
 /// A candidate produced by the spatial search (pre-verification state).

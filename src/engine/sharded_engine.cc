@@ -26,44 +26,6 @@ void MergeByDistance(const std::vector<Neighbor>& fresh,
                      });
 }
 
-/// Shared shape of LoadDataset and ApplyBatch: items already grouped by
-/// home shard are applied in order on one worker task per shard, stopping
-/// a shard's task at its first error. `lock_hold_ms` (when non-null)
-/// observes how long each shard task held its shard mutex — the interval
-/// concurrent queries on that shard were blocked for.
-template <typename ShardPtr, typename Item, typename Apply>
-Status RouteAndApply(std::vector<ShardPtr>& shards, ThreadPool& threads,
-                     const std::vector<std::vector<const Item*>>& groups,
-                     const Apply& apply,
-                     telemetry::Histogram* lock_hold_ms) {
-  std::vector<Status> statuses(shards.size());
-  std::vector<std::function<void()>> tasks;
-  for (size_t s = 0; s < shards.size(); ++s) {
-    if (groups[s].empty()) continue;
-    tasks.push_back([&, s] {
-      auto& shard = *shards[s];
-      MutexLock lock(&shard.mu);
-      auto locked_at = std::chrono::steady_clock::now();
-      for (const Item* item : groups[s]) {
-        Status st = apply(*shard.tree, *item);
-        if (!st.ok()) {
-          statuses[s] = std::move(st);
-          break;
-        }
-      }
-      telemetry::Observe(lock_hold_ms,
-                         std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - locked_at)
-                             .count());
-    });
-  }
-  threads.RunAll(std::move(tasks));
-  for (Status& st : statuses) {
-    if (!st.ok()) return st;
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 ShardedPebEngine::DiskHolder ShardedPebEngine::MakeDisk(
@@ -113,8 +75,7 @@ ShardedPebEngine::ShardedPebEngine(
       durable_(holder.durable),
       pool_(disk_.get(),
             BufferPoolOptions{options.buffer_pages, options.pool_shards}),
-      threads_(options.num_threads),
-      delta_on_(options.tree.index.delta_ingest) {
+      threads_(options.num_threads) {
   if (durable_ != nullptr) {
     Status st = durable_->status();
     if (st.ok()) {
@@ -136,17 +97,13 @@ ShardedPebEngine::ShardedPebEngine(
   }
   size_t n = router_->num_shards();
   shards_.reserve(n);
+  deltas_.reserve(n);
   for (size_t s = 0; s < n; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->tree = std::make_unique<PebTree>(&pool_, options_.tree, store,
                                             roles, snapshot_);
     shards_.push_back(std::move(shard));
-  }
-  if (delta_on_) {
-    deltas_.reserve(n);
-    for (size_t s = 0; s < n; ++s) {
-      deltas_.push_back(std::make_unique<ShardDelta>());
-    }
+    deltas_.push_back(std::make_unique<ShardDelta>());
   }
   // Instruments resolve eagerly here (not lazily on first use), so a
   // disconnected record site shows up as a registered-but-zero instrument
@@ -164,16 +121,14 @@ ShardedPebEngine::ShardedPebEngine(
     pknn_rounds_ = registry_->counter("engine.pknn.rounds");
     pknn_retirements_ = registry_->counter("engine.pknn.retirements");
     batch_lock_hold_ms_ = registry_->histogram("engine.batch.lock_hold_ms");
-    if (delta_on_) {
-      delta_appends_ = registry_->counter("engine.delta.appends");
-      delta_probes_ = registry_->counter("engine.delta.probes");
-      delta_shadowed_ = registry_->counter("engine.delta.shadowed");
-      delta_merges_ = registry_->counter("engine.delta.merges");
-      delta_merged_records_counter_ =
-          registry_->counter("engine.delta.merged_records");
-      merge_lock_hold_ms_ = registry_->histogram("engine.merge.lock_hold_ms");
-      delta_backlog_ = registry_->gauge("engine.delta.backlog");
-    }
+    delta_appends_ = registry_->counter("engine.delta.appends");
+    delta_probes_ = registry_->counter("engine.delta.probes");
+    delta_shadowed_ = registry_->counter("engine.delta.shadowed");
+    delta_merges_ = registry_->counter("engine.delta.merges");
+    delta_merged_records_counter_ =
+        registry_->counter("engine.delta.merged_records");
+    merge_lock_hold_ms_ = registry_->histogram("engine.merge.lock_hold_ms");
+    delta_backlog_ = registry_->gauge("engine.delta.backlog");
     pool_collector_token_ = registry_->RegisterCollector([this] {
       std::vector<telemetry::MetricsRegistry::Sample> out;
       for (size_t i = 0; i < pool_.num_shards(); ++i) {
@@ -191,38 +146,9 @@ ShardedPebEngine::ShardedPebEngine(
       return out;
     });
   }
-  if (delta_on_ && options_.delta.background_merge_period_ms > 0) {
-    merger_ = std::thread([this] {
-      const auto period =
-          std::chrono::milliseconds(options_.delta.background_merge_period_ms);
-      for (;;) {
-        {
-          MutexLock lock(&merger_mu_);
-          merger_cv_.wait_for(merger_mu_, period, [this]() {
-            merger_mu_.AssertHeld();
-            return merger_stop_;
-          });
-          if (merger_stop_) break;
-        }
-        // Drain every non-empty delta: across writer idle gaps this is the
-        // only trigger, and it keeps query-side read amplification low.
-        // Merge errors surface through paranoid foreground merges and
-        // ValidateInvariants; the thread itself has nobody to report to.
-        (void)MergeDeltas();
-      }
-    });
-  }
 }
 
 ShardedPebEngine::~ShardedPebEngine() {
-  if (merger_.joinable()) {
-    {
-      MutexLock lock(&merger_mu_);
-      merger_stop_ = true;
-    }
-    merger_cv_.notify_all();
-    merger_.join();
-  }
   // Clean shutdown: one final checkpoint marks the superblock clean so the
   // next open may skip validation. Best-effort — a poisoned engine, one
   // whose owner opted out (crash tests), or one Open() abandoned mid-
@@ -257,7 +183,7 @@ Status ShardedPebEngine::CheckDurable() const {
 
 Status ShardedPebEngine::LogOps(
     const std::vector<engine_wal::LoggedOp>& ops) {
-  if (wal_ == nullptr || replaying_.load(std::memory_order_relaxed)) {
+  if (wal_ == nullptr || replaying_) {
     return Status::OK();
   }
   MutexLock wal_lock(&wal_mu_);
@@ -273,7 +199,7 @@ Status ShardedPebEngine::LogOps(
 }
 
 Status ShardedPebEngine::LogMerge() {
-  if (wal_ == nullptr || replaying_.load(std::memory_order_relaxed)) {
+  if (wal_ == nullptr || replaying_) {
     return Status::OK();
   }
   MutexLock wal_lock(&wal_mu_);
@@ -305,13 +231,11 @@ Status ShardedPebEngine::CheckpointLocked(bool clean) {
   MutexLock ingest(&ingest_mu_);
   // 1. Every buffered event must reach the trees: the WAL is about to be
   //    truncated, and only tree pages are checkpointed.
-  if (delta_on_) {
-    std::vector<size_t> which;
-    for (size_t s = 0; s < deltas_.size(); ++s) {
-      if (deltas_[s]->records() > 0) which.push_back(s);
-    }
-    PEB_RETURN_NOT_OK(MergeShardsLocked(which));
+  std::vector<size_t> which;
+  for (size_t s = 0; s < deltas_.size(); ++s) {
+    if (deltas_[s]->records() > 0) which.push_back(s);
   }
+  PEB_RETURN_NOT_OK(MergeShardsLocked(which));
   // 2. Every dirty frame must reach the overlay — strictly: a pinned dirty
   //    page would silently checkpoint a stale version.
   PEB_RETURN_NOT_OK(pool_.FlushAllStrict());
@@ -485,7 +409,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
 
   // 5. Replay the WAL suffix through the normal mutation paths (replay is
   //    not re-logged; the re-checkpoint below supersedes the log).
-  engine->replaying_.store(true, std::memory_order_relaxed);
+  engine->replaying_ = true;
   uint64_t max_seq = ckpt_seq;
   Status replay_st;
   for (const WalRecord& rec : records) {
@@ -532,7 +456,7 @@ Result<std::unique_ptr<ShardedPebEngine>> ShardedPebEngine::Open(
     }
     engine->wal_seq_ = max_seq;
   }
-  engine->replaying_.store(false, std::memory_order_relaxed);
+  engine->replaying_ = false;
 
   // 6. Deep validation after any unclean shutdown (and whenever the tree
   //    is configured paranoid). A non-empty log also counts as unclean:
@@ -595,9 +519,9 @@ Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
   }
   {
     MutexLock ingest(&ingest_mu_);
-    // Status parity with the tree ops the direct path would have run:
-    // Insert -> AlreadyExists/InvalidArgument, Delete -> NotFound, Update
-    // is an upsert bounded by the encoding.
+    // The statuses the tree ops would return: Insert -> AlreadyExists/
+    // InvalidArgument, Delete -> NotFound, Update is an upsert bounded by
+    // the encoding.
     if (require_absent && PresentInShard(idx, state.id)) {
       return Status::AlreadyExists("object " + std::to_string(state.id) +
                                    " already indexed");
@@ -629,58 +553,20 @@ Status ShardedPebEngine::IngestOne(const MovingObject& state, bool tombstone,
 }
 
 Status ShardedPebEngine::Insert(const MovingObject& object) {
-  if (delta_on_) {
-    return IngestOne(object, /*tombstone=*/false, /*require_absent=*/true,
-                     /*require_present=*/false);
-  }
-  PEB_RETURN_NOT_OK(CheckDurable());
-  WriterMutexLock state_lock(&state_mu_);
-  size_t idx = router_->ShardOf(object.id);
-  telemetry::Inc(shard_instruments_[idx].updates);
-  Shard& s = *shards_[idx];
-  {
-    MutexLock lock(&s.mu);
-    PEB_RETURN_NOT_OK(s.tree->Insert(object));
-  }
-  return LogOps({{engine_wal::LoggedOp::kInsert, object}});
+  return IngestOne(object, /*tombstone=*/false, /*require_absent=*/true,
+                   /*require_present=*/false);
 }
 
 Status ShardedPebEngine::Update(const MovingObject& object) {
-  if (delta_on_) {
-    return IngestOne(object, /*tombstone=*/false, /*require_absent=*/false,
-                     /*require_present=*/false);
-  }
-  PEB_RETURN_NOT_OK(CheckDurable());
-  WriterMutexLock state_lock(&state_mu_);
-  size_t idx = router_->ShardOf(object.id);
-  telemetry::Inc(shard_instruments_[idx].updates);
-  Shard& s = *shards_[idx];
-  {
-    MutexLock lock(&s.mu);
-    PEB_RETURN_NOT_OK(s.tree->Update(object));
-  }
-  return LogOps({{engine_wal::LoggedOp::kUpdate, object}});
+  return IngestOne(object, /*tombstone=*/false, /*require_absent=*/false,
+                   /*require_present=*/false);
 }
 
 Status ShardedPebEngine::Delete(UserId id) {
-  if (delta_on_) {
-    MovingObject tomb;
-    tomb.id = id;
-    return IngestOne(tomb, /*tombstone=*/true, /*require_absent=*/false,
-                     /*require_present=*/true);
-  }
-  PEB_RETURN_NOT_OK(CheckDurable());
-  WriterMutexLock state_lock(&state_mu_);
-  size_t idx = router_->ShardOf(id);
-  telemetry::Inc(shard_instruments_[idx].updates);
-  Shard& s = *shards_[idx];
-  {
-    MutexLock lock(&s.mu);
-    PEB_RETURN_NOT_OK(s.tree->Delete(id));
-  }
   MovingObject tomb;
   tomb.id = id;
-  return LogOps({{engine_wal::LoggedOp::kDelete, tomb}});
+  return IngestOne(tomb, /*tombstone=*/true, /*require_absent=*/false,
+                   /*require_present=*/true);
 }
 
 Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
@@ -690,19 +576,40 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
   for (const MovingObject& o : dataset.objects) {
     groups[router_->ShardOf(o.id)].push_back(&o);
   }
+  // One worker task per shard inserts that shard's group in order,
+  // stopping at its first error. batch_lock_hold_ms_ observes how long each
+  // task held its shard mutex.
+  std::vector<Status> statuses(shards_.size());
+  std::vector<std::function<void()>> tasks;
   for (size_t s = 0; s < shards_.size(); ++s) {
+    if (groups[s].empty()) continue;
     telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
+    tasks.push_back([this, s, &groups, &statuses] {
+      Shard& shard = *shards_[s];
+      MutexLock lock(&shard.mu);
+      const auto locked_at = std::chrono::steady_clock::now();
+      for (const MovingObject* o : groups[s]) {
+        statuses[s] = shard.tree->Insert(*o);
+        if (!statuses[s].ok()) break;
+      }
+      telemetry::Observe(batch_lock_hold_ms_,
+                         std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - locked_at)
+                             .count());
+    });
   }
-  Status st = RouteAndApply(shards_, threads_, groups,
-                            [](PebTree& tree, const MovingObject& o) {
-                              return tree.Insert(o);
-                            },
-                            batch_lock_hold_ms_);
+  threads_.RunAll(std::move(tasks));
+  Status st;
+  for (Status& shard_st : statuses) {
+    if (!shard_st.ok()) {
+      st = std::move(shard_st);
+      break;
+    }
+  }
   if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
   // Bulk loads are not journaled event-by-event; a checkpoint makes the
   // loaded base state durable in one stroke instead.
-  if (st.ok() && durable_ != nullptr &&
-      !replaying_.load(std::memory_order_relaxed)) {
+  if (st.ok() && durable_ != nullptr && !replaying_) {
     st = CheckpointLocked(/*clean=*/false);
   }
   return st;
@@ -710,83 +617,54 @@ Status ShardedPebEngine::LoadDataset(const Dataset& dataset) {
 
 Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
   PEB_RETURN_NOT_OK(CheckDurable());
-  if (delta_on_) {
-    if (events.empty()) return Status::OK();
-    // Pre-validate so the whole batch is rejected before anything is
-    // published (the direct path stops the bad event's shard group
-    // mid-application instead; error batches are outside the equivalence
-    // contract — see the header).
-    for (const UpdateEvent& ev : events) {
-      if (ev.state.id >= num_users_) {
-        return Status::InvalidArgument("object id outside the policy encoding");
-      }
-    }
-    // Backpressure: merge any destination shard already at the hard cap
-    // BEFORE appending — the writer stalls here, queries never do.
-    const size_t cap = options_.delta.hard_cap != 0
-                           ? options_.delta.hard_cap
-                           : options_.delta.merge_threshold * 8;
-    std::vector<size_t> over;
-    for (size_t s = 0; s < deltas_.size(); ++s) {
-      if (deltas_[s]->records() >= cap) over.push_back(s);
-    }
-    if (!over.empty()) {
-      delta_backpressure_merges_.fetch_add(over.size(),
-                                           std::memory_order_relaxed);
-      PEB_RETURN_NOT_OK(MergeShards(over));
-    }
-    {
-      MutexLock ingest(&ingest_mu_);
-      // ONE seq for the whole batch: the release store below publishes it
-      // atomically, so a query's pinned watermark sees all of it or none.
-      const uint64_t seq = ++next_seq_;
-      for (const UpdateEvent& ev : events) {
-        const size_t idx = router_->ShardOf(ev.state.id);
-        telemetry::Inc(shard_instruments_[idx].updates);
-        deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq);
-      }
-      published_seq_.store(seq, std::memory_order_release);
-      if (wal_ != nullptr) {
-        // One kEvents record per batch, journaled inside the ingest section
-        // (WAL order = publication order); an OK return means the whole
-        // batch is on disk once the sync below lands.
-        std::vector<engine_wal::LoggedOp> ops;
-        ops.reserve(events.size());
-        for (const UpdateEvent& ev : events) {
-          ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
-        }
-        PEB_RETURN_NOT_OK(LogOps(ops));
-      }
-    }
-    telemetry::Inc(delta_appends_, events.size());
-    UpdateBacklogGauge();
-    return MaybeMergeDeltas();
-  }
-  WriterMutexLock state_lock(&state_mu_);
-  std::vector<std::vector<const UpdateEvent*>> groups(shards_.size());
+  if (events.empty()) return Status::OK();
+  // Pre-validate so the whole batch is rejected before anything is
+  // published.
   for (const UpdateEvent& ev : events) {
-    groups[router_->ShardOf(ev.state.id)].push_back(&ev);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    telemetry::Inc(shard_instruments_[s].updates, groups[s].size());
-  }
-  Status st = RouteAndApply(shards_, threads_, groups,
-                            [](PebTree& tree, const UpdateEvent& ev) {
-                              return tree.Update(ev.state);
-                            },
-                            batch_lock_hold_ms_);
-  // paranoid_checks: structural audit inside the batch's own exclusive
-  // section, so a corrupting batch is caught before any query sees it.
-  if (st.ok() && options_.tree.index.paranoid_checks) st = ValidateLocked();
-  if (st.ok() && wal_ != nullptr) {
-    std::vector<engine_wal::LoggedOp> ops;
-    ops.reserve(events.size());
-    for (const UpdateEvent& ev : events) {
-      ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
+    if (ev.state.id >= num_users_) {
+      return Status::InvalidArgument("object id outside the policy encoding");
     }
-    st = LogOps(ops);
   }
-  return st;
+  // Backpressure: merge any destination shard already at the hard cap
+  // BEFORE appending — the writer stalls here, queries never do.
+  const size_t cap = options_.delta.hard_cap != 0
+                         ? options_.delta.hard_cap
+                         : options_.delta.merge_threshold * 8;
+  std::vector<size_t> over;
+  for (size_t s = 0; s < deltas_.size(); ++s) {
+    if (deltas_[s]->records() >= cap) over.push_back(s);
+  }
+  if (!over.empty()) {
+    delta_backpressure_merges_.fetch_add(over.size(),
+                                         std::memory_order_relaxed);
+    PEB_RETURN_NOT_OK(MergeShards(over));
+  }
+  {
+    MutexLock ingest(&ingest_mu_);
+    // ONE seq for the whole batch: the release store below publishes it
+    // atomically, so a query's pinned watermark sees all of it or none.
+    const uint64_t seq = ++next_seq_;
+    for (const UpdateEvent& ev : events) {
+      const size_t idx = router_->ShardOf(ev.state.id);
+      telemetry::Inc(shard_instruments_[idx].updates);
+      deltas_[idx]->Append(ev.state, /*tombstone=*/false, seq);
+    }
+    published_seq_.store(seq, std::memory_order_release);
+    if (wal_ != nullptr) {
+      // One kEvents record per batch, journaled inside the ingest section
+      // (WAL order = publication order); an OK return means the whole
+      // batch is on disk once the sync below lands.
+      std::vector<engine_wal::LoggedOp> ops;
+      ops.reserve(events.size());
+      for (const UpdateEvent& ev : events) {
+        ops.push_back({engine_wal::LoggedOp::kUpdate, ev.state});
+      }
+      PEB_RETURN_NOT_OK(LogOps(ops));
+    }
+  }
+  telemetry::Inc(delta_appends_, events.size());
+  UpdateBacklogGauge();
+  return MaybeMergeDeltas();
 }
 
 // ---------------------------------------------------------------------------
@@ -794,13 +672,13 @@ Status ShardedPebEngine::ApplyBatch(const std::vector<UpdateEvent>& events) {
 // ---------------------------------------------------------------------------
 
 Status ShardedPebEngine::MergeShards(const std::vector<size_t>& which) {
-  if (!delta_on_ || which.empty()) return Status::OK();
+  if (which.empty()) return Status::OK();
   WriterMutexLock state_lock(&state_mu_);
   return MergeShardsLocked(which);
 }
 
 Status ShardedPebEngine::MergeShardsLocked(const std::vector<size_t>& which) {
-  if (!delta_on_ || which.empty()) return Status::OK();
+  if (which.empty()) return Status::OK();
   // Only PUBLISHED records drain: a batch mid-append (writers do not hold
   // the state lock) must not become visible through the tree before its
   // publication makes it visible through the delta.
@@ -890,7 +768,6 @@ Status ShardedPebEngine::MaybeMergeDeltas() {
 }
 
 Status ShardedPebEngine::MergeDeltas() {
-  if (!delta_on_) return Status::OK();
   std::vector<size_t> which;
   for (size_t s = 0; s < deltas_.size(); ++s) {
     if (deltas_[s]->records() > 0) which.push_back(s);
@@ -949,7 +826,7 @@ Status ShardedPebEngine::AdoptSnapshot(
   if (options_.tree.index.paranoid_checks) {
     PEB_RETURN_NOT_OK(ValidateLocked());
   }
-  if (wal_ != nullptr && !replaying_.load(std::memory_order_relaxed)) {
+  if (wal_ != nullptr && !replaying_) {
     // Journal the epoch barrier, then checkpoint IMMEDIATELY: recovery
     // replays pre-adopt records against the pre-adopt encoding, so a
     // kRekey record must never have replayable records after it. The
@@ -989,14 +866,13 @@ Status ShardedPebEngine::RunExclusive(const std::function<Status()>& fn) {
 // ---------------------------------------------------------------------------
 
 size_t ShardedPebEngine::SizeLocked() const {
-  const uint64_t watermark =
-      delta_on_ ? published_seq_.load(std::memory_order_acquire) : 0;
+  const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
   size_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(&shard.mu);
     size_t n = shard.tree->size();
-    if (delta_on_ && deltas_[s]->records() > 0) {
+    if (deltas_[s]->records() > 0) {
       // Authoritative logical size: a delta-only insert adds a user the
       // tree does not host yet; a tombstone of a tree-resident user
       // removes one. (The raw pointer keeps the guarded access out of the
@@ -1099,12 +975,10 @@ Result<std::vector<UserId>> ShardedPebEngine::RangeQueryWithStats(
   // Delta overlay: friends with a visible delta record leave the tree
   // candidate lists and are answered from their delta state below, through
   // the same Definition-2 predicate the tree scans apply — so the answer
-  // is bit-identical to direct apply at the same update prefix.
+  // is the same whether or not the delta has been merged yet.
   std::vector<DeltaCandidate> delta_cands;
-  if (delta_on_) {
-    const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-    OverlayFriends(&per_shard, watermark, &delta_cands);
-  }
+  OverlayFriends(&per_shard, published_seq_.load(std::memory_order_acquire),
+                 &delta_cands);
   SharedScanCache cache;  // One window decomposition for all shards.
 
   struct Slot {
@@ -1199,27 +1073,26 @@ Result<std::vector<Neighbor>> ShardedPebEngine::KnnQueryWithStats(
   const double rq =
       KnnSeedRadiusFor(total_friends, SizeLocked(), snapshot_->num_users(), k,
                        options_.tree.index.space_side);
-  // Delta overlay AFTER the seed radius: the schedule above already uses
-  // the authoritative SizeLocked() and the PRE-overlay friend count, so a
-  // delta engine and a direct-apply engine at the same update prefix run
-  // the identical enlargement geometry. Shadowed friends are answered
-  // exactly, from their delta state, before any scan runs — the same
-  // verification and distance the tree's InsertVerified would compute.
-  if (delta_on_) {
-    const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-    std::vector<DeltaCandidate> delta_cands;
-    OverlayFriends(&per_shard, watermark, &delta_cands);
-    for (const DeltaCandidate& c : delta_cands) {
-      const Point pos = c.state.PositionAt(tq);
-      if (PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
-                                 issuer, c.uid, pos, tq)) {
-        Neighbor nb{c.uid, pos.DistanceTo(qloc)};
-        auto at = std::lower_bound(verified.begin(), verified.end(), nb,
-                                   [](const Neighbor& a, const Neighbor& b) {
-                                     return a.distance < b.distance;
-                                   });
-        verified.insert(at, nb);
-      }
+  // Delta overlay AFTER the seed radius: the schedule above uses the
+  // logical SizeLocked() and the PRE-overlay friend count, so the search
+  // geometry — and with it which of several equidistant k-th candidates is
+  // kept — does not depend on how much of the update prefix has been
+  // merged. Shadowed friends are answered exactly, from their delta state,
+  // before any scan runs — the same verification and distance the tree's
+  // InsertVerified would compute.
+  std::vector<DeltaCandidate> delta_cands;
+  OverlayFriends(&per_shard, published_seq_.load(std::memory_order_acquire),
+                 &delta_cands);
+  for (const DeltaCandidate& c : delta_cands) {
+    const Point pos = c.state.PositionAt(tq);
+    if (PebTree::VerifyAgainst(*store_, *roles_, options_.tree.time_domain,
+                               issuer, c.uid, pos, tq)) {
+      Neighbor nb{c.uid, pos.DistanceTo(qloc)};
+      auto at = std::lower_bound(verified.begin(), verified.end(), nb,
+                                 [](const Neighbor& a, const Neighbor& b) {
+                                   return a.distance < b.distance;
+                                 });
+      verified.insert(at, nb);
     }
   }
   SharedScanCache cache;  // One ring decomposition per round for all shards.
@@ -1393,18 +1266,16 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
   const size_t idx = router_->ShardOf(id);
   const Shard& s = *shards_[idx];
   MutexLock lock(&s.mu);
-  if (delta_on_) {
-    const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
-    if (deltas_[idx]->records() > 0) {
-      ShardDelta::Record rec;
-      telemetry::Inc(delta_probes_);
-      if (deltas_[idx]->LatestVisible(id, watermark, &rec)) {
-        telemetry::Inc(delta_shadowed_);
-        if (rec.tombstone) {
-          return Status::NotFound("object " + std::to_string(id));
-        }
-        return rec.state;
+  const uint64_t watermark = published_seq_.load(std::memory_order_acquire);
+  if (deltas_[idx]->records() > 0) {
+    ShardDelta::Record rec;
+    telemetry::Inc(delta_probes_);
+    if (deltas_[idx]->LatestVisible(id, watermark, &rec)) {
+      telemetry::Inc(delta_shadowed_);
+      if (rec.tombstone) {
+        return Status::NotFound("object " + std::to_string(id));
       }
+      return rec.state;
     }
   }
   return s.tree->GetObject(id);
@@ -1416,7 +1287,6 @@ Result<MovingObject> ShardedPebEngine::GetObject(UserId id) const {
 
 Status ShardedPebEngine::ValidateLocked() const {
   const uint64_t epoch = snapshot_ == nullptr ? 0 : snapshot_->epoch();
-  size_t total = 0;
   for (size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     MutexLock lock(&shard.mu);
@@ -1437,57 +1307,47 @@ Status ShardedPebEngine::ValidateLocked() const {
       }
     });
     PEB_RETURN_NOT_OK(routing);
-    if (delta_on_) {
-      // Delta invariants: every buffered record routed here, in-bounds,
-      // per-user seqs ascending, no tombstone chains, and a user whose
-      // FIRST buffered record is a tombstone must still be tree-resident
-      // (Delete only ever tombstones a then-present user, and merges drain
-      // record prefixes atomically with the tree application).
-      const PebTree* tree = shard.tree.get();
-      Status delta_st = Status::OK();
-      UserId prev_uid = kInvalidUserId;
-      uint64_t prev_seq = 0;
-      bool prev_tomb = false;
-      deltas_[s]->ForEachRecord([&](UserId uid,
-                                    const ShardDelta::Record& rec) {
-        if (!delta_st.ok()) return;
-        if (router_->ShardOf(uid) != s) {
-          delta_st = Status::Corruption(
-              "delta record for user " + std::to_string(uid) +
-              " buffered by shard " + std::to_string(s) +
-              " but routed to shard " +
-              std::to_string(router_->ShardOf(uid)));
-        } else if (uid >= num_users_) {
-          delta_st = Status::Corruption(
-              "delta record for user " + std::to_string(uid) +
-              " outside the policy encoding");
-        } else if (uid == prev_uid && rec.seq < prev_seq) {
-          delta_st = Status::Corruption(
-              "delta seqs not ascending for user " + std::to_string(uid));
-        } else if (uid == prev_uid && rec.tombstone && prev_tomb) {
-          delta_st = Status::Corruption(
-              "consecutive tombstones buffered for user " +
-              std::to_string(uid));
-        } else if (uid != prev_uid && rec.tombstone &&
-                   !tree->GetObject(uid).ok()) {
-          delta_st = Status::Corruption(
-              "leading tombstone for user " + std::to_string(uid) +
-              " who is not hosted by shard " + std::to_string(s) +
-              "'s tree");
-        }
-        prev_uid = uid;
-        prev_seq = rec.seq;
-        prev_tomb = rec.tombstone;
-      });
-      PEB_RETURN_NOT_OK(delta_st);
-    }
-    total += shard.tree->size();
-  }
-  if (!delta_on_ && total != SizeLocked()) {
-    // With delta ingestion on, writers may publish between the two reads —
-    // logical-size exactness is covered by the merge-time agreement checks
-    // and the oracle equivalence tests instead.
-    return Status::Corruption("engine size drifted during validation");
+    // Delta invariants: every buffered record routed here, in-bounds,
+    // per-user seqs ascending, no tombstone chains, and a user whose
+    // FIRST buffered record is a tombstone must still be tree-resident
+    // (Delete only ever tombstones a then-present user, and merges drain
+    // record prefixes atomically with the tree application).
+    const PebTree* tree = shard.tree.get();
+    Status delta_st = Status::OK();
+    UserId prev_uid = kInvalidUserId;
+    uint64_t prev_seq = 0;
+    bool prev_tomb = false;
+    deltas_[s]->ForEachRecord([&](UserId uid, const ShardDelta::Record& rec) {
+      if (!delta_st.ok()) return;
+      if (router_->ShardOf(uid) != s) {
+        delta_st = Status::Corruption(
+            "delta record for user " + std::to_string(uid) +
+            " buffered by shard " + std::to_string(s) +
+            " but routed to shard " +
+            std::to_string(router_->ShardOf(uid)));
+      } else if (uid >= num_users_) {
+        delta_st = Status::Corruption(
+            "delta record for user " + std::to_string(uid) +
+            " outside the policy encoding");
+      } else if (uid == prev_uid && rec.seq < prev_seq) {
+        delta_st = Status::Corruption(
+            "delta seqs not ascending for user " + std::to_string(uid));
+      } else if (uid == prev_uid && rec.tombstone && prev_tomb) {
+        delta_st = Status::Corruption(
+            "consecutive tombstones buffered for user " +
+            std::to_string(uid));
+      } else if (uid != prev_uid && rec.tombstone &&
+                 !tree->GetObject(uid).ok()) {
+        delta_st = Status::Corruption(
+            "leading tombstone for user " + std::to_string(uid) +
+            " who is not hosted by shard " + std::to_string(s) +
+            "'s tree");
+      }
+      prev_uid = uid;
+      prev_seq = rec.seq;
+      prev_tomb = rec.tombstone;
+    });
+    PEB_RETURN_NOT_OK(delta_st);
   }
   return pool_.ValidateInvariants();
 }

@@ -36,39 +36,39 @@
 // distinct shards never races. On top of
 // that, an engine-level reader-writer lock keeps every query's view
 // atomic: queries hold it shared, mutations that touch tree structure
-// (LoadDataset, AdoptSnapshot, delta merges — and Insert/Update/Delete/
-// ApplyBatch on the direct-apply path) hold it exclusive — so a query
-// fanned out over several lock acquisitions can never observe half an
-// update batch, while concurrent queries still proceed in parallel.
+// (LoadDataset, AdoptSnapshot, delta merges) hold it exclusive — so a query
+// fanned out over several lock acquisitions can never observe half a
+// structural change, while concurrent queries still proceed in parallel.
 //
-// Log-structured ingestion (MovingIndexOptions::delta_ingest, the
-// default): updates never take the engine-wide exclusive lock at all.
-// Writers serialize on a dedicated ingest mutex, append raw-state records
-// to the home shard's in-memory delta (engine/shard_delta.h) under that
-// shard's delta latch, and publish the batch by storing its seq into an
-// atomic watermark. Read paths pin the watermark once at admission and
-// merge the delta with the tree scan: friends with a visible delta record
-// are lifted out of the per-shard tree candidate lists and evaluated
-// directly from their delta state through the SAME Definition-2 predicate
-// the tree scans use (PebTree::VerifyAgainst), so answers are bit-identical
-// to direct apply while queries never wait behind update application.
-// Deltas drain into the B+-trees in bounded merges — on a per-shard
-// record-count threshold at the end of an ingest call, from the optional
-// background merge thread, or explicitly via MergeDeltas() — under the
-// existing exclusive section, whose hold time is bounded by the threshold
-// (and shortened further by latest-record dedup: N buffered updates of one
-// user cost one tree update).
+// Log-structured ingestion: updates (Insert/Update/Delete/ApplyBatch)
+// never take the engine-wide exclusive lock at all. Writers serialize on a
+// dedicated ingest mutex, append raw-state records to the home shard's
+// in-memory delta (engine/shard_delta.h) under that shard's delta latch,
+// and publish the batch by storing its seq into an atomic watermark. Read
+// paths pin the watermark once at admission and merge the delta with the
+// tree scan: friends with a visible delta record are lifted out of the
+// per-shard tree candidate lists and evaluated directly from their delta
+// state through the SAME Definition-2 predicate the tree scans use
+// (PebTree::VerifyAgainst), so an answer depends only on the published
+// update prefix — never on how much of it has been merged — while queries
+// never wait behind update application. Deltas drain into the B+-trees in
+// bounded merges — on a per-shard record-count threshold at the end of an
+// ingest call, or explicitly via MergeDeltas() — under the existing
+// exclusive section, whose hold time is bounded by the threshold (and
+// shortened further by latest-record dedup: N buffered updates of one user
+// cost one tree update).
 //
 // Lock order: ingest_mu_ -> shard.mu -> delta.mu (writers; presence probes
 // hold shard.mu across both the tree and delta probe so a concurrent merge
 // — which holds shard.mu across drain AND apply — can never show them the
 // window where a record left the delta but has not reached the tree), and
 // state_mu_ -> shard.mu -> delta.mu (merges, queries, validation). The
-// ingest path never takes state_mu_ in either mode's read paths' way:
-// queries only ever hold state_mu_ shared. Checkpoints additionally take
-// state_mu_ -> ingest_mu_ (never the reverse: ingest calls MergeShards only
-// OUTSIDE its ingest section), freezing both mutation paths so the WAL
-// truncation at the end of a checkpoint cannot race a concurrent append.
+// ingest section never takes state_mu_ (queries only ever hold it shared;
+// merges take it exclusive outside the ingest section). Checkpoints
+// additionally take state_mu_ -> ingest_mu_ (never the reverse: ingest
+// calls MergeShards only OUTSIDE its ingest section), freezing both
+// mutation paths so the WAL truncation at the end of a checkpoint cannot
+// race a concurrent append.
 // wal_mu_ is a leaf: it guards only the WAL sequence counter and the
 // durability poison status, and no code acquires another lock under it.
 //
@@ -97,10 +97,8 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bxtree/privacy_index.h"
@@ -137,7 +135,7 @@ struct EngineOptions {
   size_t pool_shards = 4;
   /// Per-shard PEB-tree configuration (shared by all shards).
   PebTreeOptions tree;
-  /// Log-structured ingestion tuning (active when tree.index.delta_ingest).
+  /// Log-structured ingestion tuning.
   struct DeltaIngestOptions {
     /// A shard whose delta reaches this many buffered records is merged at
     /// the end of the ingest call that crossed it. Bounds both merge
@@ -147,10 +145,6 @@ struct EngineOptions {
     /// already buffering this many records first merges that shard inline
     /// (the writer stalls; queries never do). 0 = 8 * merge_threshold.
     size_t hard_cap = 0;
-    /// When non-zero, a background thread drains EVERY non-empty delta
-    /// each period — keeps read amplification low across writer idle gaps
-    /// without any ingest-path trigger. 0 (default) = no thread.
-    size_t background_merge_period_ms = 0;
   };
   DeltaIngestOptions delta;
   /// Durable storage. Default (empty path) keeps the in-memory disk — no
@@ -234,10 +228,9 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// Adopts a new policy-encoding snapshot ATOMICALLY across all shards:
   /// under the exclusive state lock, every shard tree swaps to `snapshot`
   /// and re-keys the users it hosts from `rekey` (grouped by home shard,
-  /// applied on worker threads through the same per-shard path update
-  /// batches use). Queries hold the state lock shared, so 1-shard and
-  /// N-shard engines expose identical epoch transitions — no query ever
-  /// sees half an epoch.
+  /// one worker task per shard). Queries hold the state lock shared, so
+  /// 1-shard and N-shard engines expose identical epoch transitions — no
+  /// query ever sees half an epoch.
   Status AdoptSnapshot(std::shared_ptr<const EncodingSnapshot> snapshot,
                        const std::vector<UserId>* rekey) override;
   uint64_t encoding_epoch() const override;
@@ -252,17 +245,13 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// Routes and inserts every object, loading shards in parallel.
   Status LoadDataset(const Dataset& dataset);
 
-  /// Applies a time-ordered update batch. Direct-apply mode: events are
-  /// grouped by home shard (preserving order within each group) and every
-  /// shard's group is applied on a worker thread under the exclusive state
-  /// lock. Delta-ingest mode: the whole batch is appended to the home
-  /// shards' deltas under the ingest lock and published atomically (one
-  /// seq per batch), so concurrent queries see all of it or none of it —
-  /// without the batch ever blocking them. Per-user ordering is preserved
-  /// in both modes because a user maps to exactly one shard. A batch
-  /// naming an id outside the policy encoding is rejected whole (the
-  /// direct path instead stops that user's shard group at the bad event;
-  /// error batches are excluded from the equivalence contract).
+  /// Applies a time-ordered update batch: the whole batch is appended to
+  /// the home shards' deltas under the ingest lock and published
+  /// atomically (one seq per batch), so concurrent queries see all of it or
+  /// none of it — without the batch ever blocking them. Per-user ordering
+  /// is preserved because a user maps to exactly one shard. A batch naming
+  /// an id outside the policy encoding is rejected whole, before anything
+  /// is published.
   Status ApplyBatch(const std::vector<UpdateEvent>& events);
 
   // --- durability -----------------------------------------------------------
@@ -298,12 +287,12 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
 
   // --- delta ingestion ------------------------------------------------------
   /// Drains every non-empty shard delta into its tree (one exclusive
-  /// section). No-op in direct-apply mode. Benches and tests call this to
-  /// settle the engine before comparing against a direct-apply oracle;
-  /// the service layer calls it on shutdown-like barriers.
+  /// section). Answers do not change, only where they are read from.
+  /// Tests call it to settle the engine and to race merges against
+  /// writers and queries; WAL replay calls it at every logged merge point.
   Status MergeDeltas() EXCLUDES(state_mu_);
 
-  /// Aggregate delta-ingestion state (zeros in direct-apply mode).
+  /// Aggregate delta-ingestion state.
   struct DeltaStats {
     size_t buffered_records = 0;   ///< Currently buffered across shards.
     size_t max_shard_records = 0;  ///< Largest single shard's buffer.
@@ -314,14 +303,8 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   };
   DeltaStats delta_stats() const;
 
-  /// Whether updates go through the per-shard deltas (the configured
-  /// MovingIndexOptions::delta_ingest, honored only by the engine).
-  bool delta_ingest_enabled() const { return delta_on_; }
-
   /// Buffered delta records of shard i (tests/benches).
-  size_t shard_delta_records(size_t i) const {
-    return delta_on_ ? deltas_[i]->records() : 0;
-  }
+  size_t shard_delta_records(size_t i) const { return deltas_[i]->records(); }
 
   // --- introspection --------------------------------------------------------
   const EngineOptions& options() const { return options_; }
@@ -411,7 +394,9 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   bool PresentInShard(size_t idx, UserId id) const REQUIRES(ingest_mu_);
 
   /// Appends one single-object mutation (Insert/Update/Delete) to the home
-  /// shard's delta with direct-path status parity, then publishes it.
+  /// shard's delta, then publishes it. Fails as the same tree op would:
+  /// Insert of a present id -> AlreadyExists, Delete of an absent one ->
+  /// NotFound.
   Status IngestOne(const MovingObject& state, bool tombstone,
                    bool require_absent, bool require_present)
       EXCLUDES(ingest_mu_);
@@ -465,7 +450,7 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   size_t SizeLocked() const REQUIRES_SHARED(state_mu_);
 
   /// ValidateInvariants() for callers already holding state_mu_ (the
-  /// paranoid_checks hook runs it at the end of exclusive batch sections).
+  /// paranoid_checks hook runs it at the end of exclusive sections).
   Status ValidateLocked() const REQUIRES_SHARED(state_mu_);
 
   /// Adds a finished shard query's counters into a query-local total.
@@ -500,9 +485,10 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// First durability I/O failure, latched forever (see header comment).
   Status durability_error_ GUARDED_BY(wal_mu_);
   /// True while Open() replays the WAL through the normal mutation paths:
-  /// suppresses re-logging the records being replayed. Atomic because the
-  /// background merger can already be running during replay.
-  std::atomic<bool> replaying_{false};
+  /// suppresses re-logging the records being replayed. Plain bool, like
+  /// close_checkpoint_armed_ below: written only inside Open(), before the
+  /// engine is ever shared.
+  bool replaying_ = false;
   /// False while Open() owns a partially recovered engine: disarms the
   /// destructor's clean-shutdown checkpoint so a failed recovery cannot
   /// publish half-restored (or empty) state as a clean generation and
@@ -519,14 +505,12 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   /// mutexes (the dispatching thread holds this lock for them).
   mutable SharedMutex state_mu_;
 
-  // --- log-structured ingestion state (delta_on_ only) ----------------------
-  /// tree.index.delta_ingest, cached (options_ is const after construction).
-  bool delta_on_ = false;
+  // --- log-structured ingestion state ---------------------------------------
   /// One delta per shard, indexed like shards_. Each has its own latch.
   std::vector<std::unique_ptr<ShardDelta>> deltas_;
   /// Serializes WRITERS only (seq assignment, presence probes, batch
   /// publication). Queries never touch it — that is the whole point.
-  mutable Mutex ingest_mu_ ACQUIRED_BEFORE(merger_mu_);
+  mutable Mutex ingest_mu_;
   /// Seq of the most recently assigned ingest batch.
   uint64_t next_seq_ GUARDED_BY(ingest_mu_) = 0;
   /// Watermark of the most recently PUBLISHED batch: stored with release
@@ -536,13 +520,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   std::atomic<uint64_t> delta_merges_count_{0};
   std::atomic<uint64_t> delta_merged_records_{0};
   std::atomic<uint64_t> delta_backpressure_merges_{0};
-
-  /// Background merge thread (started when delta ingestion is on and
-  /// background_merge_period_ms > 0).
-  std::thread merger_;
-  mutable Mutex merger_mu_;
-  std::condition_variable_any merger_cv_;
-  bool merger_stop_ GUARDED_BY(merger_mu_) = false;
 
   /// Engine instruments (null when telemetry is disabled). Cached pointers
   /// into the registry, resolved once at construction.
@@ -554,9 +531,6 @@ class ShardedPebEngine final : public PrivacyAwareIndex {
   telemetry::Counter* pknn_rounds_ = nullptr;
   telemetry::Counter* pknn_retirements_ = nullptr;
   telemetry::Histogram* batch_lock_hold_ms_ = nullptr;
-  /// Delta instruments, registered only when delta ingestion is on (an
-  /// instrument that CANNOT move must not read zero forever — the CI
-  /// telemetry gate fails on dead instruments).
   telemetry::Counter* delta_appends_ = nullptr;
   telemetry::Counter* delta_probes_ = nullptr;
   telemetry::Counter* delta_shadowed_ = nullptr;

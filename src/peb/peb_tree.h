@@ -392,8 +392,8 @@ class PebTree final : public PrivacyAwareIndex {
   /// Definition 2's verification predicate, shared between the tree's scan
   /// paths (Verify) and the sharded engine's delta overlay: a candidate
   /// located OUTSIDE the tree (in a shard's ingestion delta) must pass
-  /// exactly the check a tree-scanned candidate passes, or delta-ingest
-  /// answers would diverge from the direct-apply oracle. `pos` is the
+  /// exactly the check a tree-scanned candidate passes, or an answer would
+  /// change when the delta is merged into the tree. `pos` is the
   /// candidate's position extrapolated to `tq`.
   static bool VerifyAgainst(const PolicyStore& store, const RoleRegistry& roles,
                             double time_domain, UserId issuer, UserId uid,

@@ -579,12 +579,11 @@ void MovingObjectService::FeedContinuous(
   telemetry::Inc(continuous_fed_, events.size());
   for (const UpdateEvent& ev : events) {
     // Events arrive in stream (global time) order regardless of how many
-    // shards applied them — and, under delta ingestion, regardless of when
-    // the engine later merges them into the trees: the monitor is fed from
-    // the BATCH, synchronously with its application/publication, never from
-    // a merge. continuous_mu_ serializes feeders, so the monotone stream
-    // clock is asserted here and standing-query event streams are
-    // identical on 1- and N-shard engines in both ingestion modes.
+    // shards host them and of when the engine later merges them into the
+    // trees: the monitor is fed from the BATCH, synchronously with its
+    // publication, never from a merge. continuous_mu_ serializes feeders,
+    // so the monotone stream clock is asserted here and standing-query
+    // event streams are identical on 1- and N-shard engines.
     assert(ev.t >= last_fed_t_ &&
            "continuous monitor fed out of stream order");
     last_fed_t_ = ev.t;

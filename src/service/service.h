@@ -290,9 +290,9 @@ class MovingObjectService {
   std::unique_ptr<ContinuousQueryMonitor> monitor_ PT_GUARDED_BY(continuous_mu_);
   /// Stream clock of the last batch event fed to the monitor. FeedContinuous
   /// asserts it never goes backwards: update streams are globally
-  /// time-ordered, and under delta ingestion the monitor is fed from the
-  /// batch at publication time (never from the engine's later merges), so
-  /// the feed order is the stream order in both ingestion modes.
+  /// time-ordered, and the monitor is fed from the batch at publication
+  /// time (never from the engine's later merges), so the feed order is the
+  /// stream order.
   Timestamp last_fed_t_ GUARDED_BY(continuous_mu_) = 0;
 
   // --- telemetry state (null / zero when telemetry is disabled) -------------

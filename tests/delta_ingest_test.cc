@@ -1,17 +1,20 @@
-// Log-structured ingestion tests: with delta_ingest on, every response —
-// PRQ, PkNN, GetObject, size, continuous-query results and event streams —
-// must be bit-identical to a direct-apply engine replayed at the same
-// update prefix, across shard counts, under randomized interleavings of
-// update batches, joins/leaves, queries, and explicit merges. A concurrent
-// smoke (background merge thread + writers + readers) runs under the TSan
-// CI job.
+// Log-structured ingestion tests. The engine is checked against a
+// brute-force model: the object table the test's own events produce, fed
+// to testing::BruteForcePrq / BruteForcePknn (tests/test_util.h). PRQ,
+// PkNN, GetObject, size, insert/delete status codes and standing-query
+// results must all equal the model's, across shard counts, under
+// randomized interleavings of update batches, joins/leaves, queries, and
+// explicit merges. A concurrency test races a merging test thread against
+// a writer, readers and the validator, and runs under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "eval/runner.h"
 #include "eval/workload.h"
 #include "peb/continuous.h"
+#include "policy/policy_catalog.h"
+#include "test_util.h"
 
 namespace peb {
 namespace {
@@ -32,27 +37,52 @@ using eval::QuerySetOptions;
 using eval::Workload;
 using eval::WorkloadParams;
 
-std::unique_ptr<ShardedPebEngine> MakeModeEngine(Workload& w, size_t shards,
-                                                 bool delta_ingest,
-                                                 size_t merge_threshold,
-                                                 size_t hard_cap = 0,
-                                                 size_t background_ms = 0,
-                                                 bool paranoid = true) {
+std::unique_ptr<ShardedPebEngine> MakeDeltaEngine(Workload& w, size_t shards,
+                                                  size_t merge_threshold,
+                                                  size_t hard_cap = 0,
+                                                  bool paranoid = true) {
   EngineOptions opts;
   opts.num_shards = shards;
   opts.num_threads = shards == 1 ? 0 : 4;
   opts.buffer_pages = w.params().buffer_pages;
   opts.tree = eval::PebOptionsFor(w.params());
-  opts.tree.index.delta_ingest = delta_ingest;
   opts.tree.index.paranoid_checks = paranoid;
   opts.delta.merge_threshold = merge_threshold;
   opts.delta.hard_cap = hard_cap;
-  opts.delta.background_merge_period_ms = background_ms;
   auto engine = std::make_unique<ShardedPebEngine>(
       opts, &w.store(), &w.roles(), w.catalog()->snapshot());
   EXPECT_TRUE(engine->LoadDataset(w.dataset()).ok());
   return engine;
 }
+
+/// The object table the test's events produce: the reference state every
+/// engine answer is checked against.
+class Model {
+ public:
+  explicit Model(const Dataset& initial) {
+    for (const MovingObject& o : initial.objects) objects_[o.id] = o;
+  }
+
+  void Upsert(const MovingObject& o) { objects_[o.id] = o; }
+  void Erase(UserId id) { objects_.erase(id); }
+  bool Contains(UserId id) const { return objects_.contains(id); }
+  size_t size() const { return objects_.size(); }
+
+  const MovingObject* Find(UserId id) const {
+    auto it = objects_.find(id);
+    return it == objects_.end() ? nullptr : &it->second;
+  }
+
+  Dataset AsDataset() const {
+    Dataset ds;
+    ds.objects.reserve(objects_.size());
+    for (const auto& [id, o] : objects_) ds.objects.push_back(o);
+    return ds;
+  }
+
+ private:
+  std::map<UserId, MovingObject> objects_;
+};
 
 std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
   std::sort(v.begin(), v.end(), [](const Neighbor& a, const Neighbor& b) {
@@ -62,43 +92,69 @@ std::vector<Neighbor> Normalized(std::vector<Neighbor> v) {
   return v;
 }
 
-/// Every query answer of `got` (delta-ingest) bit-identical to `want`
-/// (direct-apply oracle) at the same update prefix.
-void ExpectSameAnswers(Workload& w, ShardedPebEngine& got,
-                       ShardedPebEngine& want, uint64_t query_seed,
-                       const char* context) {
+void ExpectPrqMatchesModel(const Workload& w, ShardedPebEngine& engine,
+                           const Dataset& ds, UserId issuer,
+                           const Rect& range, Timestamp tq,
+                           const char* context) {
+  auto got = engine.RangeQuery(issuer, range, tq);
+  ASSERT_TRUE(got.ok()) << context;
+  EXPECT_EQ(*got, testing::BruteForcePrq(ds, w.store(), w.roles(), issuer,
+                                         range, tq, w.params().time_domain))
+      << context << " PRQ issuer " << issuer;
+}
+
+/// Every query answer, size() and GetObject of `engine` equal the model's.
+/// PkNN distances must be bit-identical: both sides extrapolate the same
+/// stored state to tq and measure the same Euclidean distance.
+void ExpectMatchesModel(const Workload& w, ShardedPebEngine& engine,
+                        const Model& model, uint64_t query_seed,
+                        const char* context) {
+  const Dataset ds = model.AsDataset();
   QuerySetOptions q;
   q.count = 10;
   q.window_side = 250.0;
   q.seed = query_seed;
   for (const auto& prq : MakePrqQueries(w, q)) {
-    auto a = got.RangeQuery(prq.issuer, prq.range, prq.tq);
-    auto b = want.RangeQuery(prq.issuer, prq.range, prq.tq);
-    ASSERT_TRUE(a.ok() && b.ok()) << context;
-    EXPECT_EQ(*a, *b) << context;
+    ExpectPrqMatchesModel(w, engine, ds, prq.issuer, prq.range, prq.tq,
+                          context);
   }
   for (const auto& knn : MakePknnQueries(w, q)) {
-    auto a = got.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
-    auto b = want.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
-    ASSERT_TRUE(a.ok() && b.ok()) << context;
-    std::vector<Neighbor> an = Normalized(*a);
-    std::vector<Neighbor> bn = Normalized(*b);
-    ASSERT_EQ(an.size(), bn.size()) << context;
-    for (size_t r = 0; r < an.size(); ++r) {
-      EXPECT_EQ(an[r].uid, bn[r].uid) << context << " rank " << r;
-      EXPECT_DOUBLE_EQ(an[r].distance, bn[r].distance)
-          << context << " rank " << r;
+    auto got = engine.KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq);
+    ASSERT_TRUE(got.ok()) << context;
+    std::vector<Neighbor> want = testing::BruteForcePknn(
+        ds, w.store(), w.roles(), knn.issuer, knn.qloc, knn.k, knn.tq,
+        w.params().time_domain);
+    std::vector<Neighbor> gn = Normalized(*got);
+    ASSERT_EQ(gn.size(), want.size()) << context;
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(gn[r].uid, want[r].uid) << context << " rank " << r;
+      EXPECT_EQ(gn[r].distance, want[r].distance) << context << " rank " << r;
     }
+  }
+  EXPECT_EQ(engine.size(), model.size()) << context;
+  for (UserId uid = 0; uid < w.params().num_users; ++uid) {
+    auto got = engine.GetObject(uid);
+    const MovingObject* want = model.Find(uid);
+    ASSERT_EQ(got.ok(), want != nullptr) << context << " GetObject " << uid;
+    if (want == nullptr) {
+      EXPECT_TRUE(got.status().IsNotFound()) << context;
+      continue;
+    }
+    EXPECT_EQ(got->pos.x, want->pos.x) << context << " user " << uid;
+    EXPECT_EQ(got->pos.y, want->pos.y) << context << " user " << uid;
+    EXPECT_EQ(got->vel.x, want->vel.x) << context << " user " << uid;
+    EXPECT_EQ(got->vel.y, want->vel.y) << context << " user " << uid;
+    EXPECT_EQ(got->tu, want->tu) << context << " user " << uid;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Randomized interleaving vs the direct-apply oracle
+// Randomized interleaving vs the brute-force model
 // ---------------------------------------------------------------------------
 
-class DeltaIngestOracleTest : public ::testing::TestWithParam<size_t> {};
+class DeltaIngestModelTest : public ::testing::TestWithParam<size_t> {};
 
-TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
+TEST_P(DeltaIngestModelTest, RandomInterleavingMatchesModel) {
   const size_t shards = GetParam();
   WorkloadParams wp;
   wp.num_users = 500;
@@ -110,171 +166,174 @@ TEST_P(DeltaIngestOracleTest, RandomInterleavingMatchesDirectApply) {
 
   // Small merge threshold so the interleaving crosses many merge points;
   // paranoid_checks audits delta/tree agreement inside every one of them.
-  auto delta = MakeModeEngine(w, shards, /*delta_ingest=*/true,
-                              /*merge_threshold=*/48);
-  auto direct = MakeModeEngine(w, shards, /*delta_ingest=*/false,
-                               /*merge_threshold=*/48);
-  ASSERT_TRUE(delta->delta_ingest_enabled());
-  ASSERT_FALSE(direct->delta_ingest_enabled());
-
-  // One deterministic event sequence, applied to both engines.
+  auto engine = MakeDeltaEngine(w, shards, /*merge_threshold=*/48);
+  Model model(w.dataset());
   auto stream = CloneUniformUpdateStream(w);
   ASSERT_NE(stream, nullptr);
 
-  // Continuous queries over each engine, fed identically in stream order.
-  ContinuousQueryMonitor mon_delta(delta.get(), &w.store(), &w.roles(),
-                                   w.catalog()->snapshot());
-  ContinuousQueryMonitor mon_direct(direct.get(), &w.store(), &w.roles(),
-                                    w.catalog()->snapshot());
+  // Standing queries over the engine, fed in stream order.
+  ContinuousQueryMonitor monitor(engine.get(), &w.store(), &w.roles(),
+                                 w.catalog()->snapshot());
   Timestamp now = w.params().delta_t_mu;
-  std::vector<ContinuousQueryId> cq_delta;
-  std::vector<ContinuousQueryId> cq_direct;
+  struct Standing {
+    ContinuousQueryId id = 0;
+    UserId issuer = kInvalidUserId;
+    Rect range;
+    std::set<UserId> folded;  ///< Result rebuilt from the event stream.
+  };
+  std::vector<Standing> standing;
   {
     QuerySetOptions q;
-    q.count = 5;
+    q.count = 10;
     q.window_side = 300.0;
     q.seed = 4242;
     for (const auto& prq : MakePrqQueries(w, q)) {
-      auto a = mon_delta.Register(prq.issuer, prq.range, now);
-      auto b = mon_direct.Register(prq.issuer, prq.range, now);
-      ASSERT_TRUE(a.ok() && b.ok());
-      cq_delta.push_back(*a);
-      cq_direct.push_back(*b);
+      auto id = monitor.Register(prq.issuer, prq.range, now);
+      ASSERT_TRUE(id.ok());
+      // Registration seeds the result without events; folding starts here.
+      auto seeded = monitor.ResultOf(*id);
+      ASSERT_TRUE(seeded.ok());
+      standing.push_back({*id, prq.issuer, prq.range,
+                          std::set<UserId>(seeded->begin(), seeded->end())});
     }
-    // Seeding runs through each engine's PRQ: identical already.
-    EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
   }
 
-  std::mt19937 rng(1000 + shards);
-  std::vector<UserId> alive(wp.num_users);
-  for (UserId u = 0; u < wp.num_users; ++u) alive[u] = u;
-  std::vector<UserId> removed;
-
-  auto check_continuous = [&](const char* context) {
-    for (size_t i = 0; i < cq_delta.size(); ++i) {
-      auto a = mon_delta.ResultOf(cq_delta[i]);
-      auto b = mon_direct.ResultOf(cq_direct[i]);
-      ASSERT_TRUE(a.ok() && b.ok()) << context;
-      EXPECT_EQ(*a, *b) << context << " continuous query " << i;
+  // Advance(now) re-evaluates every standing query against the engine; its
+  // result must then be the model's PRQ at `now`, the same one-shot PRQ
+  // through the engine must agree, and folding the membership events over
+  // the previous result must reproduce the current one.
+  auto check_standing = [&](const char* context) {
+    ASSERT_TRUE(monitor.Advance(now).ok());
+    const Dataset ds = model.AsDataset();
+    for (const ContinuousQueryEvent& ev : monitor.TakeEvents()) {
+      auto it = std::find_if(standing.begin(), standing.end(),
+                             [&](const Standing& s) {
+                               return s.id == ev.query;
+                             });
+      ASSERT_NE(it, standing.end()) << context;
+      if (ev.entered) {
+        EXPECT_TRUE(it->folded.insert(ev.user).second)
+            << context << " user " << ev.user << " entered twice";
+      } else {
+        EXPECT_EQ(it->folded.erase(ev.user), 1u)
+            << context << " user " << ev.user << " left without entering";
+      }
+    }
+    for (const Standing& s : standing) {
+      auto result = monitor.ResultOf(s.id);
+      ASSERT_TRUE(result.ok()) << context;
+      EXPECT_EQ(*result,
+                testing::BruteForcePrq(ds, w.store(), w.roles(), s.issuer,
+                                       s.range, now, wp.time_domain))
+          << context << " standing query " << s.id;
+      EXPECT_EQ(*result, std::vector<UserId>(s.folded.begin(),
+                                             s.folded.end()))
+          << context << " standing query " << s.id;
+      ExpectPrqMatchesModel(w, *engine, ds, s.issuer, s.range, now, context);
     }
   };
+  check_standing("registration");
 
-  for (int round = 0; round < 40; ++round) {
-    switch (rng() % 6) {
+  std::mt19937 rng(1000 + shards);
+  auto random_state = [&](UserId uid) {
+    MovingObject obj;
+    obj.id = uid;
+    obj.pos = {static_cast<double>(rng() % 1000),
+               static_cast<double>(rng() % 1000)};
+    obj.vel = {1.0, -1.0};
+    obj.tu = now;
+    return obj;
+  };
+
+  for (int round = 0; round < 48; ++round) {
+    switch (rng() % 7) {
       case 0:
-      case 1: {  // Update batch, identically applied and monitor-fed.
+      case 1: {  // Update batch (upserts: a removed user who updates rejoins).
         const size_t n = 1 + rng() % 96;
         std::vector<UpdateEvent> batch;
         batch.reserve(n);
-        for (size_t i = 0; i < n; ++i) {
-          batch.push_back(stream->Next());
-        }
-        ASSERT_TRUE(delta->ApplyBatch(batch).ok());
-        ASSERT_TRUE(direct->ApplyBatch(batch).ok());
+        for (size_t i = 0; i < n; ++i) batch.push_back(stream->Next());
+        ASSERT_TRUE(engine->ApplyBatch(batch).ok());
         for (const UpdateEvent& ev : batch) {
           now = std::max(now, ev.t);
-          // ApplyBatch upserts: a removed user who updates rejoins.
-          removed.erase(std::remove(removed.begin(), removed.end(),
-                                    ev.state.id),
-                        removed.end());
-          ASSERT_TRUE(mon_delta.OnUpdate(ev.state, ev.t).ok());
-          ASSERT_TRUE(mon_direct.OnUpdate(ev.state, ev.t).ok());
+          model.Upsert(ev.state);
+          ASSERT_TRUE(monitor.OnUpdate(ev.state, ev.t).ok());
         }
         break;
       }
-      case 2: {  // Leave: tombstone in the delta, tree delete in the oracle.
-        const UserId uid = static_cast<UserId>(rng() % wp.num_users);
-        Status a = delta->Delete(uid);
-        Status b = direct->Delete(uid);
-        ASSERT_EQ(a.ok(), b.ok()) << a.message() << " vs " << b.message();
-        EXPECT_EQ(a.message(), b.message());
-        if (a.ok()) removed.push_back(uid);
-        ASSERT_TRUE(mon_delta.Advance(now).ok());
-        ASSERT_TRUE(mon_direct.Advance(now).ok());
-        break;
-      }
-      case 3: {  // Join: sparse re-insert of a previously removed user.
-        if (removed.empty()) break;
-        const size_t pick = rng() % removed.size();
-        const UserId uid = removed[pick];
-        MovingObject obj;
-        obj.id = uid;
-        obj.pos = {static_cast<double>(rng() % 1000),
-                   static_cast<double>(rng() % 1000)};
-        obj.vel = {1.0, -1.0};
-        obj.tu = now;
-        Status a = delta->Insert(obj);
-        Status b = direct->Insert(obj);
-        ASSERT_EQ(a.ok(), b.ok()) << a.message() << " vs " << b.message();
-        EXPECT_EQ(a.message(), b.message());
-        removed.erase(removed.begin() + static_cast<ptrdiff_t>(pick));
-        ASSERT_TRUE(mon_delta.OnUpdate(obj, now).ok());
-        ASSERT_TRUE(mon_direct.OnUpdate(obj, now).ok());
-        break;
-      }
-      case 4: {  // Explicit merge: must not change any answer.
-        ASSERT_TRUE(delta->MergeDeltas().ok());
-        break;
-      }
-      default: {  // Duplicate-insert / missing-delete status parity.
-        const UserId uid = static_cast<UserId>(rng() % wp.num_users);
-        MovingObject obj;
-        obj.id = uid;
-        obj.tu = now;
-        Status a = delta->Insert(obj);
-        Status b = direct->Insert(obj);
-        ASSERT_EQ(a.ok(), b.ok());
-        EXPECT_EQ(a.message(), b.message());
-        if (a.ok()) {  // Was removed: keep the engines and books in sync.
-          removed.erase(std::remove(removed.begin(), removed.end(), uid),
-                        removed.end());
-          ASSERT_TRUE(mon_delta.OnUpdate(obj, now).ok());
-          ASSERT_TRUE(mon_direct.OnUpdate(obj, now).ok());
+      case 2: {  // Leave. Prefer a current standing-query member, so the
+                 // tombstone shadows a user some answer actually holds.
+        std::vector<UserId> members;
+        for (const Standing& s : standing) {
+          members.insert(members.end(), s.folded.begin(), s.folded.end());
         }
-        break;
-      }
-    }
-    if (round % 4 == 0) {
-      ExpectSameAnswers(w, *delta, *direct,
-                        2000 + static_cast<uint64_t>(round), "round");
-      check_continuous("round");
-      EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
-      EXPECT_EQ(delta->size(), direct->size());
-      // Spot-check GetObject, including tombstoned users.
-      for (int probe = 0; probe < 8; ++probe) {
-        const UserId uid = static_cast<UserId>(rng() % wp.num_users);
-        auto a = delta->GetObject(uid);
-        auto b = direct->GetObject(uid);
-        ASSERT_EQ(a.ok(), b.ok()) << "GetObject " << uid;
-        if (a.ok()) {
-          EXPECT_EQ((*a).pos.x, (*b).pos.x);
-          EXPECT_EQ((*a).pos.y, (*b).pos.y);
-          EXPECT_EQ((*a).tu, (*b).tu);
+        const UserId uid =
+            !members.empty() && rng() % 4 != 0
+                ? members[rng() % members.size()]
+                : static_cast<UserId>(rng() % wp.num_users);
+        Status st = engine->Delete(uid);
+        if (model.Contains(uid)) {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          model.Erase(uid);
         } else {
-          EXPECT_EQ(a.status().message(), b.status().message());
+          EXPECT_TRUE(st.IsNotFound()) << st.ToString();
         }
+        break;
+      }
+      case 3: {  // Join: sparse insert of any user; status per the model.
+        const MovingObject obj =
+            random_state(static_cast<UserId>(rng() % wp.num_users));
+        Status st = engine->Insert(obj);
+        if (model.Contains(obj.id)) {
+          EXPECT_TRUE(st.IsAlreadyExists()) << st.ToString();
+        } else {
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          model.Upsert(obj);
+          ASSERT_TRUE(monitor.OnUpdate(obj, now).ok());
+        }
+        break;
+      }
+      case 4: {  // Single-object update (upsert).
+        const MovingObject obj =
+            random_state(static_cast<UserId>(rng() % wp.num_users));
+        ASSERT_TRUE(engine->Update(obj).ok());
+        model.Upsert(obj);
+        ASSERT_TRUE(monitor.OnUpdate(obj, now).ok());
+        break;
+      }
+      case 5: {  // A batch naming an id outside the encoding is rejected
+                 // whole: nothing of it may become visible.
+        std::vector<UpdateEvent> batch = {stream->Next(), stream->Next()};
+        batch.back().state.id = static_cast<UserId>(wp.num_users);
+        EXPECT_TRUE(engine->ApplyBatch(batch).IsInvalidArgument());
+        EXPECT_TRUE(engine->Insert(batch.back().state).IsInvalidArgument());
+        break;
+      }
+      default: {  // Explicit merge: must not change any answer.
+        ASSERT_TRUE(engine->MergeDeltas().ok());
+        break;
       }
     }
+    const uint64_t seed = 2000 + static_cast<uint64_t>(round);
+    ExpectMatchesModel(w, *engine, model, seed, "round");
+    check_standing("round");
     if (round % 8 == 0) {
-      ASSERT_TRUE(delta->ValidateInvariants().ok());
+      ASSERT_TRUE(engine->ValidateInvariants().ok());
     }
   }
 
-  // Settle and compare once more: a fully merged delta engine must still
-  // agree, and its buffers must actually be empty.
-  ASSERT_TRUE(delta->MergeDeltas().ok());
-  EXPECT_EQ(delta->delta_stats().buffered_records, 0u);
-  EXPECT_GT(delta->delta_stats().merges, 0u);
-  EXPECT_GT(delta->delta_stats().appended_total, 0u);
-  ExpectSameAnswers(w, *delta, *direct, 9999, "final");
-  check_continuous("final");
-  EXPECT_EQ(mon_delta.TakeEvents(), mon_direct.TakeEvents());
-  EXPECT_EQ(delta->size(), direct->size());
-  ASSERT_TRUE(delta->ValidateInvariants().ok());
-  ASSERT_TRUE(direct->ValidateInvariants().ok());
+  // Settle and compare once more: a fully merged engine must still agree,
+  // and its buffers must actually be empty.
+  ASSERT_TRUE(engine->MergeDeltas().ok());
+  EXPECT_EQ(engine->delta_stats().buffered_records, 0u);
+  EXPECT_GT(engine->delta_stats().merges, 0u);
+  EXPECT_GT(engine->delta_stats().appended_total, 0u);
+  ExpectMatchesModel(w, *engine, model, 9999, "final");
+  check_standing("final");
+  ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, DeltaIngestOracleTest,
+INSTANTIATE_TEST_SUITE_P(ShardCounts, DeltaIngestModelTest,
                          ::testing::Values(1, 4));
 
 // ---------------------------------------------------------------------------
@@ -290,33 +349,36 @@ TEST(DeltaIngestBackpressure, HardCapForcesInlineMergeOnTheWriter) {
   wp.seed = 31;
   Workload w = Workload::Build(wp);
   // Threshold high enough that only the hard cap can trigger merges.
-  auto delta = MakeModeEngine(w, 2, /*delta_ingest=*/true,
-                              /*merge_threshold=*/1u << 20,
-                              /*hard_cap=*/32);
-  auto direct = MakeModeEngine(w, 2, /*delta_ingest=*/false,
-                               /*merge_threshold=*/1u << 20);
+  auto engine = MakeDeltaEngine(w, 2, /*merge_threshold=*/1u << 20,
+                                /*hard_cap=*/32);
+  Model model(w.dataset());
   auto stream = CloneUniformUpdateStream(w);
   for (int i = 0; i < 400; ++i) {
     UpdateEvent ev = stream->Next();
-    ASSERT_TRUE(delta->Update(ev.state).ok());
-    ASSERT_TRUE(direct->Update(ev.state).ok());
+    ASSERT_TRUE(engine->Update(ev.state).ok());
+    model.Upsert(ev.state);
     // The per-shard buffer never grows past the cap plus the one record
     // appended after the forced merge.
-    for (size_t s = 0; s < delta->num_shards(); ++s) {
-      EXPECT_LE(delta->shard_delta_records(s), 33u);
+    for (size_t s = 0; s < engine->num_shards(); ++s) {
+      EXPECT_LE(engine->shard_delta_records(s), 33u);
     }
   }
-  const auto stats = delta->delta_stats();
+  const auto stats = engine->delta_stats();
   EXPECT_GT(stats.backpressure_merges, 0u);
   EXPECT_EQ(stats.appended_total, 400u);
-  ExpectSameAnswers(w, *delta, *direct, 777, "backpressure");
+  ExpectMatchesModel(w, *engine, model, 777, "backpressure");
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent smoke: background merge thread + writers + readers (TSan)
+// Concurrency: a merging test thread + writer + readers + validator (TSan)
 // ---------------------------------------------------------------------------
 
-TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
+// Every batch moves a whole group of the issuer's friends, each granted an
+// open policy toward the issuer, between a point inside the watched window
+// and one far outside it. A query pins one watermark, so it must see the
+// group entirely inside or entirely outside — a partial group is a torn
+// batch.
+TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndMerges) {
   WorkloadParams wp;
   wp.num_users = 300;
   wp.policies_per_user = 8;
@@ -324,21 +386,44 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   wp.grid_bits = 8;
   wp.seed = 37;
   Workload w = Workload::Build(wp);
-  // Background merges every 1ms race the foreground traffic; paranoid off
-  // so merge sections stay short and the interleaving space stays large.
-  auto delta = MakeModeEngine(w, 4, /*delta_ingest=*/true,
-                              /*merge_threshold=*/32, /*hard_cap=*/0,
-                              /*background_ms=*/1, /*paranoid=*/false);
-  auto direct = MakeModeEngine(w, 4, /*delta_ingest=*/false,
-                               /*merge_threshold=*/32);
+
+  constexpr UserId kIssuer = 0;
+  constexpr UserId kGroupSize = 120;  // Users 1..kGroupSize.
+  PolicyCatalog* catalog = w.catalog();
+  Lpp open = testing::OpenPolicy(catalog->DefineRole("group"),
+                                 wp.space_side, wp.time_domain);
+  for (UserId u = 1; u <= kGroupSize; ++u) {
+    ASSERT_TRUE(catalog->AddPolicy(u, kIssuer, open).ok());
+  }
+  ASSERT_TRUE(catalog->Reencode().ok());
+
+  // Paranoid off so merge sections stay short and the interleaving space
+  // stays large.
+  auto engine = MakeDeltaEngine(w, 4, /*merge_threshold=*/32, /*hard_cap=*/0,
+                                /*paranoid=*/false);
+  Model model(w.dataset());
   auto stream = CloneUniformUpdateStream(w);
 
+  const Rect window{{200, 200}, {300, 300}};
+  const Point inside{250, 250};
+  const Point outside{750, 750};
   constexpr size_t kBatches = 60;
-  constexpr size_t kBatchSize = 20;
+  constexpr size_t kStreamEvents = 20;
   std::vector<std::vector<UpdateEvent>> batches(kBatches);
-  for (auto& batch : batches) {
-    for (size_t i = 0; i < kBatchSize; ++i) {
-      batch.push_back(stream->Next());
+  for (size_t b = 0; b < kBatches; ++b) {
+    while (batches[b].size() < kStreamEvents) {
+      UpdateEvent ev = stream->Next();
+      if (ev.state.id == kIssuer || ev.state.id > kGroupSize) {
+        batches[b].push_back(ev);
+      }
+    }
+    const Timestamp t = batches[b].back().t;
+    for (UserId u = 1; u <= kGroupSize; ++u) {
+      MovingObject o;
+      o.id = u;
+      o.pos = b % 2 == 0 ? inside : outside;
+      o.tu = t;
+      batches[b].push_back({t, o});
     }
   }
 
@@ -350,10 +435,17 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
   std::atomic<bool> done{false};
   std::thread writer([&] {
     for (const auto& batch : batches) {
-      EXPECT_TRUE(delta->ApplyBatch(batch).ok());
+      EXPECT_TRUE(engine->ApplyBatch(batch).ok());
     }
     done.store(true, std::memory_order_release);
   });
+  std::thread merger([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      EXPECT_TRUE(engine->MergeDeltas().ok());
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  std::atomic<size_t> group_reads{0};
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r) {
     readers.emplace_back([&, r] {
@@ -364,41 +456,55 @@ TEST(DeltaIngestConcurrency, QueriesRaceUpdatesAndBackgroundMerges) {
       q.seed = 600 + static_cast<uint64_t>(r);
       auto prqs = MakePrqQueries(w, q);
       auto knns = MakePknnQueries(w, q);
-      for (int it = 0; it < 40 && !done.load(std::memory_order_acquire);
+      // A few passes even if the writer is already done: the group check
+      // must run at least once.
+      for (int it = 0;
+           it < 400 && (it < 4 || !done.load(std::memory_order_acquire));
            ++it) {
+        auto got = engine->RangeQuery(kIssuer, window, w.now());
+        ASSERT_TRUE(got.ok());
+        const size_t in_group = static_cast<size_t>(std::count_if(
+            got->begin(), got->end(),
+            [](UserId u) { return u >= 1 && u <= kGroupSize; }));
+        EXPECT_TRUE(in_group == 0 || in_group == kGroupSize)
+            << "torn batch: " << in_group << " of " << kGroupSize
+            << " group members inside the window";
+        group_reads.fetch_add(1, std::memory_order_relaxed);
         for (const auto& prq : prqs) {
           EXPECT_TRUE(
-              delta->RangeQuery(prq.issuer, prq.range, prq.tq).ok());
+              engine->RangeQuery(prq.issuer, prq.range, prq.tq).ok());
         }
         for (const auto& knn : knns) {
           EXPECT_TRUE(
-              delta->KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq).ok());
+              engine->KnnQuery(knn.issuer, knn.qloc, knn.k, knn.tq).ok());
         }
-        (void)delta->GetObject(static_cast<UserId>(rng() % wp.num_users));
-        (void)delta->size();
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        (void)engine->GetObject(static_cast<UserId>(rng() % wp.num_users));
+        (void)engine->size();
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
     });
   }
   std::thread validator([&] {
     for (int it = 0; it < 20 && !done.load(std::memory_order_acquire);
          ++it) {
-      EXPECT_TRUE(delta->ValidateInvariants().ok());
+      EXPECT_TRUE(engine->ValidateInvariants().ok());
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
   });
   writer.join();
+  merger.join();
   for (auto& t : readers) t.join();
   validator.join();
+  EXPECT_GT(group_reads.load(), 0u);
 
-  // Settle and compare against the oracle replayed at the same prefix.
+  // Settle and compare against the model replayed over every batch.
   for (const auto& batch : batches) {
-    ASSERT_TRUE(direct->ApplyBatch(batch).ok());
+    for (const UpdateEvent& ev : batch) model.Upsert(ev.state);
   }
-  ASSERT_TRUE(delta->MergeDeltas().ok());
-  EXPECT_EQ(delta->size(), direct->size());
-  ExpectSameAnswers(w, *delta, *direct, 888, "concurrent-settled");
-  ASSERT_TRUE(delta->ValidateInvariants().ok());
+  ASSERT_TRUE(engine->MergeDeltas().ok());
+  EXPECT_EQ(engine->delta_stats().buffered_records, 0u);
+  ExpectMatchesModel(w, *engine, model, 888, "concurrent-settled");
+  ASSERT_TRUE(engine->ValidateInvariants().ok());
 }
 
 }  // namespace

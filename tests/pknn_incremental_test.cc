@@ -2,7 +2,8 @@
 // scans, qsv-run coalescing, streaming shard merge with retirement) must
 // answer exactly what the brute-force Definition-2 reference
 // (tests/test_util.h) answers — for any shard count, for adversarial k
-// values at or above the number of matching friends, and while
+// values at or above the number of matching friends, when only Section
+// 5.4's final vertical scan can find the nearest friend, and while
 // policy-encoding epochs transition under the queries. Runs under the TSan
 // CI job.
 #include <gtest/gtest.h>
@@ -16,7 +17,11 @@
 #include "engine/sharded_engine.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
+#include "bxtree/knn_schedule.h"
 #include "policy/policy_catalog.h"
+#include "policy/policy_generator.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
 #include "test_util.h"
 
 namespace peb {
@@ -135,6 +140,113 @@ TEST_P(PknnShardCountTest, AdversarialKAtOrAboveMatchingFriends) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, PknnShardCountTest,
                          ::testing::Values(1, 2, 4, 7));
+
+// ---------------------------------------------------------------------------
+// Section 5.4's vertical scan
+// ---------------------------------------------------------------------------
+
+// A hand-built world whose nearest neighbour (k = 1) only the final
+// vertical scan can find. Round 0 scans the square of half-side r around
+// the query point. Friend A sits inside it near its corner (distance
+// 0.9 r * sqrt 2, about 1.27 r); friend B sits outside its side (distance
+// 1.2 r). Round 0 locates A, so the search stops with dk = |A|, and B —
+// nearer than A but outside every scanned ring, in a run whose covered
+// radius is below dk — is located only by the square of half-side dk.
+// Objects are static and max_speed is 0, so no window is enlarged for
+// motion.
+struct VerticalScanWorld {
+  static constexpr UserId kIssuer = 0;
+  static constexpr UserId kA = 1;
+  static constexpr UserId kB = 2;
+  static constexpr size_t kUsers = 3;
+  static constexpr size_t kK = 1;
+  static constexpr Timestamp kTq = 0.0;
+
+  GeneratedPolicies gp;
+  std::shared_ptr<const EncodingSnapshot> snapshot;
+  PebTreeOptions options;
+  Dataset ds;
+  Point qloc{100.0, 100.0};
+  double r = 0.0;  ///< Round-0 radius: the seed every index derives.
+
+  VerticalScanWorld() {
+    RoleId role = gp.roles.RegisterRole("friend");
+    for (UserId u : {kA, kB}) {
+      gp.store.Add(u, kIssuer, testing::OpenPolicy(role));
+      gp.roles.AssignRole(u, kIssuer, role);
+    }
+    snapshot = std::make_shared<const EncodingSnapshot>(EncodingSnapshot::Build(
+        gp.store, kUsers, CompatibilityOptions{}, {}, SvQuantizer(64.0, 26)));
+    options.index.grid_bits = 8;
+    options.index.max_speed = 0.0;
+    r = KnnSeededRadiusForRound(
+        KnnSeedRadiusFor(snapshot->FriendsOf(kIssuer).size(), kUsers, kUsers,
+                         kK, options.index.space_side),
+        0);
+    ds.objects = {
+        {kIssuer, qloc, {0, 0}, kTq},
+        {kA, {qloc.x + 0.9 * r, qloc.y + 0.9 * r}, {0, 0}, kTq},
+        {kB, {qloc.x + 1.2 * r, qloc.y}, {0, 0}, kTq},
+    };
+  }
+};
+
+void ExpectVerticalScanWorldAnswer(const VerticalScanWorld& w,
+                                   const std::vector<Neighbor>& got,
+                                   const char* context) {
+  std::vector<Neighbor> want = testing::BruteForcePknn(
+      w.ds, w.gp.store, w.gp.roles, w.kIssuer, w.qloc, w.kK, w.kTq);
+  ASSERT_EQ(want.size(), 1u);
+  ASSERT_EQ(want[0].uid, w.kB);  // B is nearer than A.
+  ASSERT_EQ(got.size(), want.size()) << context;
+  EXPECT_EQ(got[0].uid, want[0].uid) << context;
+  EXPECT_EQ(got[0].distance, want[0].distance) << context;
+}
+
+TEST(PknnVerticalScan, FindsANeighbourOutsideEveryScannedRing) {
+  VerticalScanWorld w;
+  for (const MovingObject& o : w.ds.objects) {
+    ASSERT_TRUE(Rect::Space(w.options.index.space_side).Contains(o.pos))
+        << "object " << o.id << " placed outside the space";
+  }
+
+  InMemoryDiskManager disk;
+  BufferPool pool(&disk, BufferPoolOptions{16});
+  PebTree tree(&pool, w.options, &w.gp.store, &w.gp.roles, w.snapshot);
+  for (const MovingObject& o : w.ds.objects) ASSERT_TRUE(tree.Insert(o).ok());
+
+  // The premise: the first anti-diagonal locates A and not B, so the search
+  // stops with A as its k-th candidate.
+  {
+    PebTree::KnnScan scan = tree.NewKnnScan(
+        w.kIssuer, w.qloc, w.kTq, w.r, w.snapshot->FriendsOf(w.kIssuer));
+    ASSERT_EQ(scan.RadiusForRound(0), w.r);
+    std::vector<Neighbor> verified;
+    ASSERT_TRUE(scan.ScanDiagonal(0, &verified).ok());
+    ASSERT_EQ(verified.size(), 1u);
+    ASSERT_EQ(verified[0].uid, w.kA);
+  }
+
+  auto single = tree.KnnQuery(w.kIssuer, w.qloc, w.kK, w.kTq);
+  ASSERT_TRUE(single.ok());
+  ExpectVerticalScanWorldAnswer(w, *single, "single tree");
+
+  for (size_t shards : {1u, 4u}) {
+    engine::EngineOptions opts;
+    opts.num_shards = shards;
+    // Inline shard tasks run in shard order, so when A and B live on
+    // different shards A's shard publishes A before B's shard starts.
+    opts.num_threads = 0;
+    opts.tree = w.options;
+    ShardedPebEngine engine(opts, &w.gp.store, &w.gp.roles, w.snapshot);
+    ASSERT_TRUE(engine.LoadDataset(w.ds).ok());
+    ASSERT_LE(engine.router().ShardOf(w.kA), engine.router().ShardOf(w.kB));
+    auto got = engine.KnnQuery(w.kIssuer, w.qloc, w.kK, w.kTq);
+    ASSERT_TRUE(got.ok());
+    ExpectVerticalScanWorldAnswer(
+        w, *got, shards == 1 ? "engine, 1 shard" : "engine, 4 shards");
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Mid-query epoch stability
