@@ -28,10 +28,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -426,30 +428,59 @@ eval::Json RunAndReportPknnCell() {
 
 namespace {
 
-/// Wall-clock of one PRQ batch through `svc` (every response checked).
-double RunTelemetryPrqBatch(service::MovingObjectService& svc,
-                            const std::vector<eval::PrqQuery>& queries) {
+/// Milliseconds one PRQ takes through `svc` (the response is checked).
+double TimeTelemetryPrq(service::MovingObjectService& svc,
+                        const eval::PrqQuery& q) {
   auto t0 = std::chrono::steady_clock::now();
-  for (const auto& q : queries) {
-    service::QueryResponse resp = svc.Execute(
-        service::QueryRequest::Prq(q.issuer, q.range, q.tq));
-    if (!resp.ok()) {
-      std::cerr << "telemetry cell query failed: " << resp.status.ToString()
-                << "\n";
-      std::abort();
+  service::QueryResponse resp =
+      svc.Execute(service::QueryRequest::Prq(q.issuer, q.range, q.tq));
+  auto t1 = std::chrono::steady_clock::now();
+  if (!resp.ok()) {
+    std::cerr << "telemetry cell query failed: " << resp.status.ToString()
+              << "\n";
+    std::abort();
+  }
+  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+}
+
+/// One on/off pair: `passes` runs of the PRQ batch on each side, with the
+/// sides interleaved query by query (alternating which goes first), so a
+/// change of host speed hits both totals alike. Returns {off_ms, on_ms}.
+std::pair<double, double> RunTelemetryPrqPair(
+    service::MovingObjectService& svc_off,
+    service::MovingObjectService& svc_on,
+    const std::vector<eval::PrqQuery>& queries, size_t passes) {
+  double off_ms = 0.0, on_ms = 0.0;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      if ((i + pass) % 2 == 0) {
+        off_ms += TimeTelemetryPrq(svc_off, queries[i]);
+        on_ms += TimeTelemetryPrq(svc_on, queries[i]);
+      } else {
+        on_ms += TimeTelemetryPrq(svc_on, queries[i]);
+        off_ms += TimeTelemetryPrq(svc_off, queries[i]);
+      }
     }
   }
-  auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
+  return {off_ms, on_ms};
+}
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
 }  // namespace
 
 /// Measures the telemetry hot-path tax: the same PRQ batch against two
 /// identical 4-shard engine services, one fully instrumented (private
-/// registry, metrics on), one with TelemetryOptions::Disabled(). Reps
-/// alternate sides and the minimum per side is compared, so scheduler
-/// noise cancels; CI gates overhead_pct at 2%.
+/// registry, metrics on), one with TelemetryOptions::Disabled(). Each of
+/// kPairs on/off pairs runs the batch on both sides, interleaved query by
+/// query, until each side's total is about kBatchMs. The overhead is the
+/// median of the per-pair on/off ratios: the interleaving gives both sides
+/// of a pair the same host speed, and the median discards the pairs a
+/// neighbour's burst hit. CI gates overhead_pct at 2%.
 eval::Json RunAndReportTelemetryOverheadCell() {
   eval::WorkloadParams p;  // Table 1 defaults.
   p.num_users = eval::Scaled(40000, 1000);
@@ -482,30 +513,41 @@ eval::Json RunAndReportTelemetryOverheadCell() {
                                        &w.roles(), w.catalog()->snapshot(),
                                        svc_off_opts);
 
-  constexpr int kReps = 5;
-  double best_on = 0.0, best_off = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    double off_ms = RunTelemetryPrqBatch(svc_off, queries);
-    double on_ms = RunTelemetryPrqBatch(svc_on, queries);
-    if (rep == 0 || off_ms < best_off) best_off = off_ms;
-    if (rep == 0 || on_ms < best_on) best_on = on_ms;
+  // One untimed pair warms the pools; it also sizes the batch.
+  constexpr double kBatchMs = 30.0;
+  constexpr int kPairs = 21;
+  const double pass_ms =
+      RunTelemetryPrqPair(svc_off, svc_on, queries, 1).first;
+  const size_t passes = static_cast<size_t>(
+      std::max(1.0, std::ceil(kBatchMs / std::max(pass_ms, 1e-3))));
+
+  std::vector<double> off_ms, on_ms, ratios;
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const auto [off, on_side] =
+        RunTelemetryPrqPair(svc_off, svc_on, queries, passes);
+    off_ms.push_back(off);
+    on_ms.push_back(on_side);
+    ratios.push_back(off > 0.0 ? on_side / off : 1.0);
   }
-  double overhead_pct =
-      best_off > 0.0 ? (best_on / best_off - 1.0) * 100.0 : 0.0;
+  const double overhead_pct = (Median(ratios) - 1.0) * 100.0;
+  const double median_off = Median(off_ms);
+  const double median_on = Median(on_ms);
 
   std::cout << "\n--- telemetry overhead cell (4-shard engine service, "
-            << p.num_users << " users, " << num_queries
-            << " PRQ/batch, min of " << kReps << ") ---\n"
-            << "disabled    : " << eval::Fmt(best_off) << " ms\n"
-            << "instrumented: " << eval::Fmt(best_on) << " ms\n"
+            << p.num_users << " users, " << num_queries << " PRQ x "
+            << passes << " passes/batch, median of " << kPairs
+            << " paired ratios) ---\n"
+            << "disabled    : " << eval::Fmt(median_off) << " ms\n"
+            << "instrumented: " << eval::Fmt(median_on) << " ms\n"
             << "overhead    : " << eval::Fmt(overhead_pct, 2) << "%\n";
 
   return eval::Json::Object()
       .Set("num_users", static_cast<uint64_t>(p.num_users))
       .Set("num_queries", static_cast<uint64_t>(num_queries))
-      .Set("reps", static_cast<uint64_t>(kReps))
-      .Set("disabled_ms", best_off)
-      .Set("instrumented_ms", best_on)
+      .Set("passes_per_batch", static_cast<uint64_t>(passes))
+      .Set("pairs", static_cast<uint64_t>(kPairs))
+      .Set("disabled_ms", median_off)
+      .Set("instrumented_ms", median_on)
       .Set("overhead_pct", overhead_pct);
 }
 

@@ -26,16 +26,4 @@ using RoleId = uint16_t;
 
 inline constexpr RoleId kInvalidRoleId = std::numeric_limits<RoleId>::max();
 
-/// Packs an ordered (owner, peer) user pair into one 64-bit map key. The
-/// static_assert keeps the packing honest: if UserId is ever widened past
-/// 32 bits, distinct pairs would silently collide, so the build must fail
-/// here instead (switch to a 128-bit key or a pair-hash at that point).
-inline constexpr uint64_t UserPairKey(UserId owner, UserId peer) {
-  static_assert(sizeof(UserId) * 8 <= 32,
-                "UserPairKey packs two UserIds into 64 bits; widen the key "
-                "before widening UserId");
-  return (static_cast<uint64_t>(owner) << 32) |
-         (static_cast<uint64_t>(peer) & 0xFFFFFFFFull);
-}
-
 }  // namespace peb

@@ -2,13 +2,29 @@
 // provider ("we assume ... the server has access to all users' privacy
 // policies", Section 3).
 //
-// Directed storage: policies_[owner -> peer] is the list of LPPs `owner`
-// defined for `peer`. The reverse index (who has a policy *toward* me)
-// backs the per-user friend lists the query algorithms need (Section 5.3:
-// "we maintain a list for each user that stores the SV values of users who
+// Directed storage: Get(owner, peer) is the list of LPPs `owner` defined
+// for `peer`. The reverse index (who has a policy *toward* me) backs the
+// per-user friend lists the query algorithms need (Section 5.3: "we
+// maintain a list for each user that stores the SV values of users who
 // have policies with respect to the list owner").
+//
+// Layout: one flat row per user, found through a map keyed by user id (ids
+// may be sparse, up to max() - 1). A row holds the user's peers ascending,
+// the end offset of each peer's policies, one contiguous vector of those
+// policies grouped by peer, and the ascending list of owners toward the
+// user. Lookups of a pair binary-search the owner's row (about Np = 50
+// peers at the paper's defaults), so per policy the store costs the Lpp
+// itself plus a few ids, not a hash node and a heap vector per pair.
+//
+// Span contract: PeersOf and OwnersToward return ascending ids without
+// duplicates (callers merge them, see CollectCandidates); Get returns one
+// pair's policies in the order they were added. A span stays valid until
+// the next Add or RemoveAll that touches its user's row: Add(owner, peer)
+// and RemoveAll(owner, peer) touch the rows of `owner` and `peer`, and no
+// other.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -29,14 +45,16 @@ class PolicyStore {
   /// removed.
   size_t RemoveAll(UserId owner, UserId peer);
 
-  /// Policies `owner` defined for `peer` (empty when none).
+  /// Policies `owner` defined for `peer`, in the order added (empty when
+  /// none).
   std::span<const Lpp> Get(UserId owner, UserId peer) const;
 
-  /// Users for whom `owner` has defined at least one policy (outgoing).
+  /// Users for whom `owner` has defined at least one policy (outgoing),
+  /// ascending.
   std::span<const UserId> PeersOf(UserId owner) const;
 
-  /// Users who have defined at least one policy toward `peer` (incoming) —
-  /// the raw friend list of `peer`.
+  /// Users who have defined at least one policy toward `peer` (incoming),
+  /// ascending — the raw friend list of `peer`.
   std::span<const UserId> OwnersToward(UserId peer) const;
 
   /// Total number of stored policies.
@@ -53,14 +71,27 @@ class PolicyStore {
               double time_domain = kDefaultTimeDomain) const;
 
  private:
-  /// Guarded 64-bit packing of the (owner, peer) pair (common/types.h).
-  static uint64_t PairKey(UserId owner, UserId peer) {
-    return UserPairKey(owner, peer);
-  }
+  struct Row {
+    /// Users this user has policies for, ascending.
+    std::vector<UserId> peers;
+    /// ends[i]: one past the last policy for peers[i] in `policies`.
+    std::vector<uint32_t> ends;
+    /// This user's policies, grouped by peer in `peers` order.
+    std::vector<Lpp> policies;
+    /// Users with policies toward this user, ascending.
+    std::vector<UserId> owners;
 
-  std::unordered_map<uint64_t, std::vector<Lpp>> policies_;
-  std::unordered_map<UserId, std::vector<UserId>> outgoing_;
-  std::unordered_map<UserId, std::vector<UserId>> incoming_;
+    bool empty() const { return peers.empty() && owners.empty(); }
+    /// Index of `peer` in `peers`, or peers.size() when absent.
+    size_t Find(UserId peer) const;
+    uint32_t Begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  };
+
+  const Row* RowOf(UserId u) const;
+  void EraseIfEmpty(UserId u);
+
+  /// Keyed by user; only users with a policy or an owner toward them.
+  std::unordered_map<UserId, Row> rows_;
   size_t num_policies_ = 0;
 };
 

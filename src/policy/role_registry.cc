@@ -22,35 +22,44 @@ const std::string& RoleRegistry::RoleName(RoleId id) const {
 }
 
 void RoleRegistry::AssignRole(UserId owner, UserId peer, RoleId role) {
-  auto& roles = assignments_[PairKey(owner, peer)];
-  if (std::find(roles.begin(), roles.end(), role) == roles.end()) {
-    roles.push_back(role);
+  std::vector<Assignment>& row = assignments_[owner];
+  const Assignment a{peer, role};
+  auto it = std::lower_bound(row.begin(), row.end(), a);
+  if (it == row.end() || *it != a) {
+    row.insert(it, a);
     num_assignments_++;
   }
 }
 
 void RoleRegistry::RevokeRole(UserId owner, UserId peer, RoleId role) {
-  auto it = assignments_.find(PairKey(owner, peer));
-  if (it == assignments_.end()) return;
-  auto& roles = it->second;
-  auto pos = std::find(roles.begin(), roles.end(), role);
-  if (pos != roles.end()) {
-    roles.erase(pos);
-    num_assignments_--;
-    if (roles.empty()) assignments_.erase(it);
-  }
+  auto found = assignments_.find(owner);
+  if (found == assignments_.end()) return;
+  std::vector<Assignment>& row = found->second;
+  const Assignment a{peer, role};
+  auto it = std::lower_bound(row.begin(), row.end(), a);
+  if (it == row.end() || *it != a) return;
+  row.erase(it);
+  num_assignments_--;
+  if (row.empty()) assignments_.erase(found);
 }
 
 bool RoleRegistry::HasRole(UserId owner, UserId peer, RoleId role) const {
-  auto it = assignments_.find(PairKey(owner, peer));
-  if (it == assignments_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), role) !=
-         it->second.end();
+  auto found = assignments_.find(owner);
+  return found != assignments_.end() &&
+         std::binary_search(found->second.begin(), found->second.end(),
+                            Assignment{peer, role});
 }
 
 std::vector<RoleId> RoleRegistry::RolesOf(UserId owner, UserId peer) const {
-  auto it = assignments_.find(PairKey(owner, peer));
-  return it == assignments_.end() ? std::vector<RoleId>{} : it->second;
+  std::vector<RoleId> roles;
+  auto found = assignments_.find(owner);
+  if (found == assignments_.end()) return roles;
+  auto it = std::lower_bound(found->second.begin(), found->second.end(),
+                             Assignment{peer, 0});
+  for (; it != found->second.end() && it->peer == peer; ++it) {
+    roles.push_back(it->role);
+  }
+  return roles;
 }
 
 }  // namespace peb

@@ -5,12 +5,16 @@
 // peer, and policies reference the role instead of individual users. The
 // PRQ/PkNN condition "qID ∈ role" (Definitions 2-3) is exactly
 // HasRole(owner, qID, role).
+//
+// Layout: one row per owner, found through a map keyed by owner id, holding
+// the owner's (peer, role) assignments ascending; a lookup binary-searches
+// the row.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/types.h"
@@ -37,21 +41,23 @@ class RoleRegistry {
   /// True iff `owner` has assigned `role` to `peer`.
   bool HasRole(UserId owner, UserId peer, RoleId role) const;
 
-  /// All roles `owner` has assigned to `peer`.
+  /// All roles `owner` has assigned to `peer`, ascending.
   std::vector<RoleId> RolesOf(UserId owner, UserId peer) const;
 
   /// Total number of (owner, peer, role) assignments.
   size_t num_assignments() const { return num_assignments_; }
 
  private:
-  /// Guarded 64-bit packing of the (owner, peer) pair (common/types.h).
-  static uint64_t PairKey(UserId owner, UserId peer) {
-    return UserPairKey(owner, peer);
-  }
+  struct Assignment {
+    UserId peer;
+    RoleId role;
+    friend auto operator<=>(const Assignment&, const Assignment&) = default;
+  };
 
   std::vector<std::string> names_;
   std::unordered_map<std::string, RoleId> by_name_;
-  std::unordered_map<uint64_t, std::vector<RoleId>> assignments_;
+  /// Keyed by owner: the owner's assignments, ascending by (peer, role).
+  std::unordered_map<UserId, std::vector<Assignment>> assignments_;
   size_t num_assignments_ = 0;
 };
 

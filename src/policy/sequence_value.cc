@@ -74,15 +74,17 @@ size_t CandidateBound(const PolicyStore& store, UserId u) {
 
 size_t CollectCandidates(const PolicyStore& store, UserId u, size_t num_users,
                          UserId* out) {
-  UserId* last = out;
-  for (std::span<const UserId> linked :
-       {store.PeersOf(u), store.OwnersToward(u)}) {
-    for (UserId v : linked) {
-      if (v != u && v < num_users) *last++ = v;
-    }
-  }
-  std::sort(out, last);
-  return static_cast<size_t>(std::unique(out, last) - out);
+  // Both spans are ascending and duplicate-free (policy_store.h), so their
+  // union below num_users, minus u, is the answer.
+  auto below = [num_users](std::span<const UserId> ids) {
+    return ids.first(static_cast<size_t>(
+        std::lower_bound(ids.begin(), ids.end(), num_users) - ids.begin()));
+  };
+  const std::span<const UserId> peers = below(store.PeersOf(u));
+  const std::span<const UserId> owners = below(store.OwnersToward(u));
+  UserId* last = std::set_union(peers.begin(), peers.end(), owners.begin(),
+                                owners.end(), out);
+  return static_cast<size_t>(std::remove(out, last, u) - out);
 }
 
 RelatednessGraph RelatednessGraph::FromLists(

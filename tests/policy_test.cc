@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -168,6 +172,124 @@ TEST(PolicyStore, AllowsRequiresRole) {
   EXPECT_FALSE(store.Allows(1, 2, {1, 1}, 0, reg));
   reg.AssignRole(1, 2, r);
   EXPECT_TRUE(store.Allows(1, 2, {1, 1}, 0, reg));
+}
+
+// The flat per-owner rows against a pair-keyed std::map reference, through
+// random Add/RemoveAll/AssignRole/RevokeRole steps over a small id set with
+// extreme ids, so pairs recur, pairs hold several (and duplicate) policies,
+// and removals and revocations often hit absent pairs.
+TEST(PolicyStore, MatchesPairMapModel) {
+  using Pair = std::pair<UserId, UserId>;
+  const std::vector<UserId> ids = {0,
+                                   1,
+                                   2,
+                                   7,
+                                   1000,
+                                   (UserId{1} << 16) + 3,
+                                   (UserId{1} << 31) - 1,
+                                   UserId{1} << 31,
+                                   std::numeric_limits<UserId>::max() - 2,
+                                   std::numeric_limits<UserId>::max() - 1};
+  constexpr RoleId kRoles = 3;
+  PolicyStore store;
+  RoleRegistry roles;
+  std::map<Pair, std::vector<Lpp>> ref_policies;
+  std::map<Pair, std::set<RoleId>> ref_roles;
+  size_t ref_assignments = 0;
+
+  auto check = [&](size_t step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    size_t total = 0;
+    for (const auto& [pair, list] : ref_policies) total += list.size();
+    ASSERT_EQ(store.num_policies(), total);
+    ASSERT_EQ(roles.num_assignments(), ref_assignments);
+    for (UserId a : ids) {
+      std::vector<UserId> peers, owners;
+      size_t outgoing = 0;
+      for (UserId b : ids) {
+        auto it = ref_policies.find({a, b});
+        const std::vector<Lpp> want =
+            it == ref_policies.end() ? std::vector<Lpp>{} : it->second;
+        auto got = store.Get(a, b);
+        ASSERT_EQ(std::vector<Lpp>(got.begin(), got.end()), want)
+            << a << " -> " << b;
+        if (!want.empty()) peers.push_back(b);
+        outgoing += want.size();
+        if (ref_policies.contains({b, a})) owners.push_back(b);
+
+        auto rit = ref_roles.find({a, b});
+        const std::set<RoleId> want_roles =
+            rit == ref_roles.end() ? std::set<RoleId>{} : rit->second;
+        ASSERT_EQ(roles.RolesOf(a, b),
+                  std::vector<RoleId>(want_roles.begin(), want_roles.end()))
+            << a << " -> " << b;
+        for (RoleId r = 0; r < kRoles; ++r) {
+          ASSERT_EQ(roles.HasRole(a, b, r), want_roles.contains(r))
+              << a << " -> " << b << " role " << r;
+        }
+      }
+      std::sort(peers.begin(), peers.end());
+      std::sort(owners.begin(), owners.end());
+      auto got_peers = store.PeersOf(a);
+      auto got_owners = store.OwnersToward(a);
+      ASSERT_EQ(std::vector<UserId>(got_peers.begin(), got_peers.end()),
+                peers)
+          << a;
+      ASSERT_EQ(std::vector<UserId>(got_owners.begin(), got_owners.end()),
+                owners)
+          << a;
+      ASSERT_EQ(store.NumPoliciesOf(a), outgoing) << a;
+    }
+  };
+
+  Rng rng(17);
+  for (size_t step = 0; step < 3000; ++step) {
+    const UserId owner = ids[rng.NextBelow(ids.size())];
+    const UserId peer = ids[rng.NextBelow(ids.size())];
+    const RoleId role = static_cast<RoleId>(rng.NextBelow(kRoles));
+    switch (rng.NextBelow(8)) {
+      case 0:
+      case 1:
+      case 2: {
+        // Few distinct policies, so a pair often holds duplicates.
+        Lpp p;
+        p.role = role;
+        const double x = static_cast<double>(rng.NextBelow(4)) * 100.0;
+        p.locr = {{x, x}, {x + 50.0, x + 50.0}};
+        p.tint = {0.0, 60.0 * static_cast<double>(1 + rng.NextBelow(2))};
+        store.Add(owner, peer, p);
+        ref_policies[{owner, peer}].push_back(p);
+        break;
+      }
+      case 3:
+      case 4: {
+        auto it = ref_policies.find({owner, peer});
+        size_t want = 0;
+        if (it != ref_policies.end()) {
+          want = it->second.size();
+          ref_policies.erase(it);
+        }
+        ASSERT_EQ(store.RemoveAll(owner, peer), want);
+        break;
+      }
+      case 5:
+      case 6:
+        roles.AssignRole(owner, peer, role);
+        if (ref_roles[{owner, peer}].insert(role).second) ref_assignments++;
+        break;
+      default: {
+        roles.RevokeRole(owner, peer, role);
+        auto it = ref_roles.find({owner, peer});
+        if (it != ref_roles.end() && it->second.erase(role) > 0) {
+          ref_assignments--;
+          if (it->second.empty()) ref_roles.erase(it);
+        }
+        break;
+      }
+    }
+    check(step);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------
